@@ -11,12 +11,9 @@
 //! `json:{...}` line (collected into `results/BENCH_kernels.json`).
 //!
 //! Before/after methodology: the seed (pre-optimization) matmul kernels are
-//! compiled into this binary unconditionally (`matmul_seed_into` & co.), so
-//! `kernels` mode reports blocked-vs-seed head-to-head from one build. For
-//! *end-to-end* numbers, build the whole tree twice — the default build
-//! routes the model through the blocked kernels; adding
-//! `--features dlion-tensor/seed-kernels` reroutes it through the seed
-//! algorithms (`e2e` mode labels its output with the active backend).
+//! compiled into this binary (`matmul_seed_into` & co.), so `kernels` mode
+//! reports blocked-vs-seed head-to-head from one build. The recorded
+//! end-to-end before/after numbers are in `results/BENCH_kernels.json`.
 
 use dlion_core::messages::{GradData, GradMsg, Payload, WireCfg, WireFormat, FRAME_HEADER_BYTES};
 use dlion_core::{run_env, ExchangeTransport, MaxNPlanner, RunConfig, SystemKind};
@@ -27,7 +24,7 @@ use dlion_tensor::ops::{
     conv2d_im2col, matmul_into, matmul_nt_into, matmul_nt_seed_into, matmul_seed_into,
     matmul_tn_into, matmul_tn_seed_into, maxpool2, softmax_xent,
 };
-use dlion_tensor::{kernel_backend, DetRng, Shape, Tensor};
+use dlion_tensor::{DetRng, Shape, Tensor};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -197,7 +194,7 @@ fn maxn() {
 }
 
 fn e2e() {
-    println!("== e2e (kernel backend: {}) ==", kernel_backend());
+    println!("== e2e ==");
     let mut cfg = RunConfig::paper_default(SystemKind::DLion, ClusterKind::Cpu);
     cfg.seed = 1;
     cfg.duration = 120.0;
@@ -209,10 +206,7 @@ fn e2e() {
     let dt = t0.elapsed().as_secs_f64();
     let iters: u64 = m.iterations.iter().sum();
     println!("  run_env DLion/HomoA 120s sim: {dt:.2} s wall, {iters} iterations");
-    println!(
-        "json:{{\"bench\":\"e2e_dlion_homoa\",\"backend\":\"{}\",\"wall_s\":{dt:.3},\"iterations\":{iters}}}",
-        kernel_backend()
-    );
+    println!("json:{{\"bench\":\"e2e_dlion_homoa\",\"wall_s\":{dt:.3},\"iterations\":{iters}}}");
 }
 
 /// Telemetry overhead on the `e2e` workload: the disabled path (all

@@ -123,7 +123,6 @@ pub fn build_cluster(cfg: &RunConfig, n: usize) -> ClusterInit {
                 pending: None,
                 computing: false,
                 waiting: false,
-                last_iter_time: 0.0,
                 last_pull_round: 0,
                 scratch: dlion_tensor::Scratch::new(),
                 grads: Vec::new(),

@@ -40,6 +40,7 @@ pub mod lbs;
 pub mod maxn;
 pub mod messages;
 pub mod metrics;
+pub mod protocol;
 pub mod report;
 pub mod runner;
 pub mod scenario;
@@ -59,6 +60,7 @@ pub use gbs::{GbsConfig, GbsController, GbsPhase};
 pub use maxn::MaxNPlanner;
 pub use messages::{GradMsg, Payload, WireError};
 pub use metrics::{HealthSummary, RunMetrics};
+pub use protocol::{Ledger, Parked, Protocol};
 pub use runner::{run_env, run_with_models, ClusterRunner};
 pub use scenario::{ScenarioKind, ScenarioPlan, ScenarioSpec};
 pub use strategy::{ExchangeStrategy, PeerUpdate, StrategyCtx};

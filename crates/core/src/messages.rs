@@ -11,7 +11,9 @@
 //! scaling is `bytes_per_param / ENC_DENSE_ENTRY_BYTES` relative to the
 //! codec's true encoded size (see [`Payload::encoded_len`]).
 
+use dlion_telemetry::Value;
 use dlion_tensor::{Shape, SparseVec, Tensor};
+use std::collections::BTreeMap;
 
 /// Size of a small control message (loss share) in simulated bytes — the
 /// exact encoded size of a [`Payload::LossShare`] frame (header + `f64`).
@@ -401,6 +403,26 @@ pub fn apply_wire_format(payload: &mut Payload, format: WireFormat) {
 /// Accounting label for a payload as encoded under `format`: which
 /// `wire_bytes_by_kind` bucket its wire bytes land in. Top-k payloads are
 /// sparsified *before* encoding, so they show up as `grad_sparse`.
+/// Every label [`wire_label`] returns, in the fixed key order of the
+/// `wire_bytes_by_kind` trace event.
+pub const WIRE_LABELS: [&str; 6] = [
+    "grad_dense",
+    "grad_sparse",
+    "grad_fp16",
+    "grad_int8",
+    "weights",
+    "control",
+];
+
+/// Trace a bytes-on-the-wire ledger keyed by [`wire_label`]: one fixed
+/// key per label, so sim and live rows line up column for column.
+pub fn trace_wire_bytes(now: f64, worker: Option<usize>, by_kind: &BTreeMap<String, f64>) {
+    if dlion_telemetry::tracing_on() {
+        let fields = WIRE_LABELS.map(|l| (l, Value::from(by_kind.get(l).copied().unwrap_or(0.0))));
+        dlion_telemetry::emit(now, worker, "wire_bytes_by_kind", &fields);
+    }
+}
+
 pub fn wire_label(payload: &Payload, format: WireFormat) -> &'static str {
     match payload {
         Payload::Grad(g) => match (&g.data, format) {

@@ -1,25 +1,28 @@
 //! The cluster runner: a discrete-event simulation of the full decentralized
 //! training loop.
 //!
-//! Each worker's workflow per iteration mirrors Figure 4/10 of the paper:
-//! compute gradients (real SGD math, executed eagerly but *completed* at the
-//! simulated time the compute model dictates), generate and send partial
-//! gradients per link, apply arriving peer gradients via the weighted model
-//! update, periodically update batch sizes (GBS/LBS controllers), and run
-//! direct knowledge transfer rounds. Virtual time advances only through the
-//! event queue, so runs are fully deterministic for a given seed.
+//! Each worker runs the per-round protocol of [`crate::protocol`] — the
+//! same code the live driver runs: compute gradients (real SGD math,
+//! executed eagerly but *completed* at the simulated time the compute
+//! model dictates), apply the own update, send partial gradients per link,
+//! apply arriving peer gradients with the Eq. 7 weights, and run direct
+//! knowledge transfer rounds. This module adds only what is specific to
+//! the simulator: the event queue that timestamps compute and messages
+//! through the [`ComputeModel`] and [`NetworkModel`], modelled transfer
+//! and byte accounting, the cluster-wide GBS/LBS controllers, evaluation,
+//! and pause/resume for rejoining kills. Virtual time advances only
+//! through the event queue, so runs are fully deterministic for a given
+//! seed.
 
 use crate::cluster::build_cluster;
 use crate::config::RunConfig;
 use crate::lbs::{compute_rcp, partition_gbs, PROFILE_LBS};
 use crate::messages::{
-    apply_wire_format, wire_label, GradData, GradMsg, Payload, WireCfg, WireFormat,
+    apply_wire_format, trace_wire_bytes, wire_label, GradData, Payload, WireCfg, WireFormat,
     DEFAULT_CHUNK_BYTES,
 };
 use crate::metrics::{LinkSample, RunMetrics};
-use crate::strategy::StrategyCtx;
-use crate::sync::SyncPolicy;
-use crate::weighted::update_factor;
+use crate::protocol::{Inbound, Ledger, Parked, Protocol};
 use crate::worker::{PendingIteration, Worker};
 use crate::GbsController;
 use dlion_microcloud::EnvId;
@@ -27,8 +30,6 @@ use dlion_nn::Dataset;
 use dlion_simnet::{ComputeModel, EventQueue, NetworkModel};
 use dlion_telemetry::{debug, event, profile_scope, Phase};
 use dlion_tensor::DetRng;
-use dlion_topo::TopologySchedule;
-use std::sync::Arc;
 
 /// Simulation events.
 enum Ev {
@@ -63,26 +64,20 @@ pub struct ClusterRunner {
     eval_indices: Vec<usize>,
     metrics: RunMetrics,
     gbs: Option<GbsController>,
-    /// Per-round neighbor oracle (from the configured topology); both the
-    /// gradient fan-out and the Eq. 7 divisor follow the round's set.
-    schedule: Arc<dyn TopologySchedule>,
+    /// The per-round worker protocol shared with the live driver.
+    proto: Protocol,
     prof_rng: DetRng,
     bytes_per_param: f64,
     total_params: usize,
     /// IterDone + Msg events still in the queue — lets `max_iters` runs end
     /// exactly when all work (including in-flight messages) has drained.
     inflight: usize,
-    /// Per-worker parked peer gradients under strict BSP, applied at the
-    /// next round start in `(round, sender)` order. Mirrors the live
-    /// driver's deferred queue: arrival order (which depends on the
-    /// previous round's gating-release order) must not decide float
-    /// addition order, or sim and live bits diverge beyond 2 workers.
-    deferred: Vec<Vec<(usize, GradMsg)>>,
-    /// The fault ledger, seeded upfront from the plan exactly like the
-    /// live driver's: `Some(k)` means the worker computes rounds `0..k`
-    /// and its gradients stop counting from round `k` on. Rejoining kills
+    /// Per-worker parked peer gradients under strict BSP.
+    deferred: Vec<Parked>,
+    /// The cluster's divisor ledger, seeded upfront from the plan's
+    /// permanent kills; LBS shares follow `repartition`. Rejoining kills
     /// are *not* in the ledger — they pause, staying members.
-    departed_at: Vec<Option<u64>>,
+    ledger: Ledger,
     /// Per-worker iteration-time multiplier (>= 1), from `cfg.straggle`.
     straggle: Vec<f64>,
     /// True while a rejoining worker sits out its dead time.
@@ -117,10 +112,10 @@ impl ClusterRunner {
                 .validate(n, cfg.max_iters.unwrap_or(u64::MAX))
                 .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
         }
-        let mut departed_at = vec![None; n];
+        let mut ledger = Ledger::new(n, cfg.initial_lbs);
         for k in &cfg.fault.kills {
             if k.rejoin_after.is_none() {
-                departed_at[k.worker] = Some(k.at_iter);
+                ledger.depart(k.worker, k.at_iter);
             }
         }
         let mut straggle = vec![1.0; n];
@@ -130,7 +125,13 @@ impl ClusterRunner {
         }
 
         ClusterRunner {
-            schedule: init.schedule,
+            proto: Protocol::new(
+                &cfg,
+                n,
+                init.schedule,
+                init.total_params,
+                init.bytes_per_param,
+            ),
             prof_rng: init.prof_rng,
             cfg,
             n,
@@ -146,7 +147,7 @@ impl ClusterRunner {
             total_params: init.total_params,
             inflight: 0,
             deferred: vec![Vec::new(); n],
-            departed_at,
+            ledger,
             straggle,
             paused: vec![false; n],
         }
@@ -155,13 +156,9 @@ impl ClusterRunner {
     /// Has worker `w` stopped contributing (its planned departure round is
     /// behind its completed-iteration count)?
     fn departed(&self, w: usize) -> bool {
-        self.departed_at[w].is_some_and(|k| self.workers[w].iteration >= k)
-    }
-
-    /// Does peer `j` contribute gradients for `round` (i.e. it computes
-    /// that round)? The live driver's `counted_for` predicate.
-    fn counts_for(&self, j: usize, round: u64) -> bool {
-        self.departed_at[j].is_none_or(|k| round < k)
+        self.ledger
+            .departed_at(w)
+            .is_some_and(|k| self.workers[w].iteration >= k)
     }
 
     /// Visit every worker mutably before [`ClusterRunner::run`] — the hook
@@ -286,20 +283,7 @@ impl ClusterRunner {
                 .telemetry
                 .gauge_max("queue_peak", self.queue.peak_len() as f64);
         }
-        let wires = |label: &str| {
-            self.metrics
-                .wire_bytes_by_kind
-                .get(label)
-                .copied()
-                .unwrap_or(0.0)
-        };
-        event!(end_time, "wire_bytes_by_kind";
-            "grad_dense" => wires("grad_dense"),
-            "grad_sparse" => wires("grad_sparse"),
-            "grad_fp16" => wires("grad_fp16"),
-            "grad_int8" => wires("grad_int8"),
-            "weights" => wires("weights"),
-            "control" => wires("control"));
+        trace_wire_bytes(end_time, None, &self.metrics.wire_bytes_by_kind);
         // Cluster health summary (DESIGN.md §4h): iteration rates on the
         // virtual clock. The sim has no reporting protocol (reports = 0)
         // and no silence (a capacity-starved worker merely idles), but the
@@ -349,25 +333,7 @@ impl ClusterRunner {
         debug_assert!(!worker.computing);
         worker.waiting = false;
         worker.computing = true;
-        worker.sample_batch_reuse();
-        // Allocation-free step: the batch index buffer, the batch tensor,
-        // every activation and every gradient cycle through per-worker
-        // buffers; the mean gradients land in the persistent `grads`
-        // tensors.
-        let (x, y) = self
-            .data
-            .batch_scratch(&worker.batch_buf, &mut worker.scratch);
-        let Worker {
-            model,
-            scratch,
-            grads,
-            ..
-        } = worker;
-        let loss = model.forward_backward_scratch(x, &y, scratch, grads);
-        for g in grads.iter_mut() {
-            g.clip_inplace(self.cfg.grad_clip);
-        }
-        worker.pending = Some(PendingIteration { loss });
+        let loss = self.proto.compute(worker, &self.data);
         let lbs = worker.lbs;
         let iter = worker.iteration;
         // The straggle factor multiplies the modelled iteration time — the
@@ -375,7 +341,7 @@ impl ClusterRunner {
         // `cluster_health` rates (iterations / busy seconds) bit-match a
         // pinned-time live run's.
         let dt = self.compute.iter_time(w, lbs, now) * self.straggle[w];
-        worker.last_iter_time = dt;
+        worker.pending = Some(PendingIteration { loss, dt });
         self.metrics.busy_time[w] += dt;
         event!(now, w: w, "iter_start";
             "iter" => iter, "lbs" => lbs, "loss" => loss, "dt" => dt);
@@ -408,99 +374,26 @@ impl ClusterRunner {
     }
 
     fn on_iter_done(&mut self, w: usize, now: f64) {
-        let lr = self.cfg.lr;
-        let n = self.n;
-        // The round this completion belongs to, and the neighbor set the
-        // topology plane declares for it. Gradient fan-out, the Eq. 7
-        // divisor, and the next round's gating set all follow it.
-        let round = self.workers[w].iteration;
-        let round_nbrs = self.schedule.neighbors(w, round);
-        let (n_counted, gbs_counted) = self.group_divisor(w, &round_nbrs, round);
-        if round == 0 || self.schedule.rotates() {
-            event!(now, w: w, "topology_round";
-                "round" => round,
-                "topology" => self.schedule.name(),
-                "neighbors" => round_nbrs.len(),
-                "links" => self.schedule.link_count(round));
-        }
-        let (updates, share_dkt) = {
-            let worker = &mut self.workers[w];
-            worker.computing = false;
-            let PendingIteration { loss } = worker
-                .pending
-                .take()
-                .expect("IterDone without pending gradients");
-            worker.dkt.record_loss(loss);
-            // Self term of the (normalized, group-wise) Eq. 7.
-            let own_factor = update_factor(
-                lr,
-                n_counted,
-                worker.lbs,
-                gbs_counted,
-                self.cfg.system.weighted_update(),
-            );
-            let ctx = StrategyCtx {
-                worker: w,
-                n,
-                iteration: worker.iteration,
-                now,
-                lbs: worker.lbs,
-                iter_time: worker.last_iter_time,
-                neighbors: round_nbrs.clone(),
-                bw_mbps: {
-                    // Strategies only read the entries of their neighbors
-                    // (link budgets), so fill just those instead of
-                    // querying all n-1 schedules per iteration.
-                    let mut bw = vec![0.0; n];
-                    for &j in &round_nbrs {
-                        bw[j] = self.net.bandwidth_mbps(w, j, now);
-                    }
-                    bw
-                },
-                bytes_per_param: self.bytes_per_param,
-                total_params: self.total_params,
-                lr,
-            };
-            let Worker {
-                strategy,
-                model,
-                grads,
-                ..
-            } = worker;
-            model.apply_dense_update(grads, own_factor);
-            let mut updates = {
-                let _sg = profile_scope(Phase::Serialize);
-                strategy.generate_partial_gradients(&ctx, grads, model)
-            };
-            // Rotate the send order each iteration so no peer is permanently
-            // first (or last) in this worker's NIC queue.
-            if !updates.is_empty() {
-                let r = (worker.iteration as usize) % updates.len();
-                updates.rotate_left(r);
-            }
-            worker.iteration += 1;
-            // Gate the next round on the peers that owed us gradients this
-            // round: per-round schedules are symmetric, so the round's
-            // neighbor set is exactly the set of senders to expect.
-            worker.sync.retarget(&round_nbrs);
-            let share = worker.dkt.is_share_round(worker.iteration);
-            (updates, share)
-        };
-
-        event!(now, w: w, "iter_done";
-            "iter" => self.workers[w].iteration,
-            "updates" => updates.len(),
-            "share_dkt" => share_dkt);
+        let worker = &mut self.workers[w];
+        worker.computing = false;
+        let PendingIteration { loss, dt } = worker
+            .pending
+            .take()
+            .expect("IterDone without pending gradients");
+        let net = &self.net;
+        let step = self.proto.step(worker, &self.ledger, loss, now, dt, |j| {
+            net.bandwidth_mbps(w, j, now)
+        });
         if self.cfg.telemetry {
             self.metrics
                 .telemetry
-                .add("strategy_updates", updates.len() as u64);
+                .add("strategy_updates", step.updates.len() as u64);
         }
-        for up in updates {
+        for up in step.updates {
             // The ledger says the peer never computes this round: its
             // process is gone by the time the gradient would matter, so
             // don't put it on the wire (the live driver's `!active` skip).
-            if !self.counts_for(up.peer, round) {
+            if !self.ledger.counts_for(up.peer, step.round) {
                 continue;
             }
             if self.cfg.trace_links {
@@ -565,8 +458,15 @@ impl ClusterRunner {
                 }
             }
         }
-        if share_dkt {
-            self.dkt_round(w, now);
+        if step.share_dkt {
+            if let Some(sends) = self.proto.dkt_round(&mut self.workers[w], now, |_| true) {
+                if self.cfg.telemetry {
+                    self.metrics.telemetry.inc("dkt_rounds");
+                }
+                for (to, payload) in sends {
+                    self.send(w, to, payload, now);
+                }
+            }
         }
         self.try_start(w, now);
     }
@@ -588,51 +488,29 @@ impl ClusterRunner {
         if self.departed(to) {
             return;
         }
-        match payload {
-            Payload::Grad(msg) => {
-                self.workers[to].sync.on_gradient(from, msg.iteration);
-                if self.workers[to].strategy.sync_policy() == SyncPolicy::Synchronous {
-                    // Strict BSP: park the gradient; the flush at the next
-                    // round start (or run end) applies the round's batch in
-                    // `(round, sender)` order — the same canonical order the
-                    // live driver uses, so arrival interleaving never leaks
-                    // into the float addition order.
-                    self.deferred[to].push((from, msg));
-                } else {
-                    self.apply_peer_grad(to, &msg);
-                }
+        let inbound = self.proto.on_payload(
+            &mut self.workers[to],
+            &self.ledger,
+            &mut self.deferred[to],
+            from,
+            payload,
+            now,
+        );
+        match inbound {
+            Inbound::Handled => {}
+            Inbound::Parked | Inbound::Applied(_) => {
                 if self.workers[to].waiting {
                     self.try_start(to, now);
                 }
             }
-            Payload::LossShare { avg_loss } => {
-                self.workers[to].dkt.update_known(from, avg_loss);
-            }
-            Payload::DktRequest => {
-                // We are the (believed) best worker: ship our weights back.
-                let weights = self.workers[to].model.weights();
-                let sender_loss = self.workers[to].dkt.avg_loss().unwrap_or(f64::INFINITY);
-                self.send(
-                    to,
-                    from,
-                    Payload::Weights {
-                        weights,
-                        sender_loss,
-                    },
-                    now,
-                );
-            }
-            Payload::Weights { weights, .. } => {
-                self.workers[to]
-                    .model
-                    .merge_weights(&weights, self.cfg.dkt.lambda);
+            Inbound::Reply(reply) => self.send(to, from, reply, now),
+            Inbound::Merged(_) => {
                 self.metrics.dkt_merges += 1;
-                event!(now, w: to, "dkt_merge"; "from" => from);
                 if self.cfg.telemetry {
                     self.metrics.telemetry.inc("dkt_merges");
                 }
             }
-            Payload::Leave { completed } => {
+            Inbound::Leave(completed) => {
                 // The victim's departure notice arrived — only now does
                 // this worker demote it (stop gating on it, drop it as a
                 // send/DKT target) and re-check a blocked gate. Arriving
@@ -645,30 +523,6 @@ impl ClusterRunner {
                 if self.workers[to].waiting {
                     self.try_start(to, now);
                 }
-            }
-        }
-    }
-
-    /// A DKT round for worker `w` (§3.4): share the recent average loss,
-    /// then pull from the best-known worker if the mode says so.
-    fn dkt_round(&mut self, w: usize, now: f64) {
-        let Some(avg) = self.workers[w].dkt.avg_loss() else {
-            return;
-        };
-        event!(now, w: w, "dkt_round"; "avg_loss" => avg);
-        if self.cfg.telemetry {
-            self.metrics.telemetry.inc("dkt_rounds");
-        }
-        self.workers[w].dkt.update_known(w, avg);
-        let targets = self.schedule.neighbors(w, self.workers[w].iteration);
-        for j in targets {
-            self.send(w, j, Payload::LossShare { avg_loss: avg }, now);
-        }
-        let round = self.workers[w].iteration / self.workers[w].dkt.cfg().period_iters;
-        if self.workers[w].last_pull_round < round {
-            if let Some(target) = self.workers[w].dkt.pull_target() {
-                self.workers[w].last_pull_round = round;
-                self.send(w, target, Payload::DktRequest, now);
             }
         }
     }
@@ -740,67 +594,21 @@ impl ClusterRunner {
             .map_or(self.cfg.initial_lbs * self.n, |g| g.gbs())
     }
 
-    /// Group-wise Eq. 7 divisor for a round: the contributors to worker
-    /// `w`'s model in that round are `w` itself plus the round's declared
-    /// neighbors, so both the plain `1/n` and the weighted `LBS/GBS`
-    /// denominators count only that group. On a full mesh this equals the
-    /// global `(n, GBS)` pair exactly (shards partition the GBS), keeping
-    /// full-mesh runs bit-identical to the pre-topology-plane behavior.
-    /// Apply one peer gradient to worker `w`'s model, averaging over the
-    /// gradient round's group (the set is symmetric, so sender and
-    /// receiver agree on it).
-    fn apply_peer_grad(&mut self, w: usize, msg: &GradMsg) {
-        let weighted = self.cfg.system.weighted_update();
-        let nbrs = self.schedule.neighbors(w, msg.iteration);
-        let (n_counted, gbs_counted) = self.group_divisor(w, &nbrs, msg.iteration);
-        let factor = update_factor(self.cfg.lr, n_counted, msg.lbs, gbs_counted, weighted);
-        let worker = &mut self.workers[w];
-        match &msg.data {
-            GradData::Dense(vars) => worker.model.apply_dense_update(vars, factor),
-            GradData::Sparse(vars) => {
-                for (v, s) in vars.iter().enumerate() {
-                    worker.model.apply_sparse_update(v, s, factor);
-                }
-            }
-        }
-    }
-
-    /// Apply parked strict-BSP gradients for rounds strictly before worker
-    /// `w`'s current round (all of them when `force`), in `(round,
-    /// sender)` order — the live driver's canonical flush order. Without
-    /// this the event queue's pop order (which depends on the previous
-    /// round's gating-release order) would leak into the float addition
-    /// order and break sim-vs-live bit parity at n > 2.
+    /// Strict BSP: apply worker `w`'s parked gradients of complete rounds
+    /// before its current one (all of them when `force`), in the
+    /// protocol's canonical `(round, sender)` order.
     fn flush_deferred(&mut self, w: usize, force: bool) {
-        if self.deferred[w].is_empty() {
-            return;
+        let worker = &mut self.workers[w];
+        let ready = self.proto.take_ready(
+            &mut self.deferred[w],
+            w,
+            worker.iteration,
+            &self.ledger,
+            force,
+        );
+        for (_, msg) in ready {
+            self.proto.apply_grad(worker, &self.ledger, &msg);
         }
-        let cur = self.workers[w].iteration;
-        // Sort in place, drain the applicable prefix, hand the remainder
-        // (and the buffer's capacity) back: zero allocation once warm.
-        let mut parked = std::mem::take(&mut self.deferred[w]);
-        parked.sort_by_key(|&(from, ref msg)| (msg.iteration, from));
-        let split = if force {
-            parked.len()
-        } else {
-            parked.partition_point(|(_, m)| m.iteration < cur)
-        };
-        for (_, msg) in parked.drain(..split) {
-            self.apply_peer_grad(w, &msg);
-        }
-        self.deferred[w] = parked;
-    }
-
-    fn group_divisor(&self, w: usize, nbrs: &[usize], round: u64) -> (usize, usize) {
-        let mut n_counted = 1;
-        let mut gbs_counted = self.workers[w].lbs;
-        for &j in nbrs {
-            if self.counts_for(j, round) {
-                n_counted += 1;
-                gbs_counted += self.workers[j].lbs;
-            }
-        }
-        (n_counted, gbs_counted.max(1))
     }
 
     /// Profile every worker and reassign LBS shares (Eq. 5).
@@ -820,6 +628,7 @@ impl ClusterRunner {
         let parts = partition_gbs(self.current_gbs(), &rcps);
         for (w, &lbs) in parts.iter().enumerate() {
             self.workers[w].lbs = lbs;
+            self.ledger.set_lbs(w, lbs);
         }
         event!(now, "lbs_repartition";
             "gbs" => self.current_gbs(),

@@ -23,15 +23,14 @@ pub struct Worker {
     pub lbs: usize,
     /// Completed iterations (== index of the next iteration to run).
     pub iteration: u64,
-    /// Loss computed eagerly at iteration start, consumed at the simulated
-    /// completion time (the gradients themselves live in [`Worker::grads`]).
+    /// Loss computed eagerly at iteration start and the modelled iteration
+    /// time, consumed at the simulated completion time (the gradients
+    /// themselves live in [`Worker::grads`]).
     pub pending: Option<PendingIteration>,
     /// True while an iteration is "executing" in virtual time.
     pub computing: bool,
     /// True if blocked by the synchronization policy.
     pub waiting: bool,
-    /// Duration of the last iteration (for the speed-assurance budget).
-    pub last_iter_time: f64,
     /// Last DKT round in which this worker issued a pull request.
     pub last_pull_round: u64,
     /// Per-worker buffer arena: every activation/gradient/batch buffer of
@@ -47,18 +46,13 @@ pub struct Worker {
 /// The result of a gradient computation awaiting its virtual completion.
 pub struct PendingIteration {
     pub loss: f64,
+    /// The iteration's duration (for the speed-assurance budget).
+    pub dt: f64,
 }
 
 impl Worker {
-    /// Sample a minibatch of `lbs` indices (with replacement) from the shard.
-    pub fn sample_batch(&mut self) -> Vec<usize> {
-        self.sample_batch_reuse();
-        self.batch_buf.clone()
-    }
-
-    /// Fill [`Worker::batch_buf`] with the next batch, reusing its
-    /// allocation (the runner's per-iteration hot path). Draws the same
-    /// RNG sequence as [`Worker::sample_batch`].
+    /// Fill [`Worker::batch_buf`] with the next minibatch of `lbs` indices
+    /// (with replacement) from the shard, reusing its allocation.
     pub fn sample_batch_reuse(&mut self) {
         assert!(
             !self.shard.is_empty(),
@@ -104,7 +98,6 @@ mod tests {
             pending: None,
             computing: false,
             waiting: false,
-            last_iter_time: 2.0,
             last_pull_round: 0,
             scratch: Scratch::new(),
             grads: Vec::new(),
@@ -115,18 +108,21 @@ mod tests {
     #[test]
     fn sample_batch_size_and_range() {
         let mut w = worker();
-        let b = w.sample_batch();
-        assert_eq!(b.len(), 32);
-        assert!(b.iter().all(|&i| i < 100));
+        w.sample_batch_reuse();
+        assert_eq!(w.batch_buf.len(), 32);
+        assert!(w.batch_buf.iter().all(|&i| i < 100));
         w.lbs = 7;
-        assert_eq!(w.sample_batch().len(), 7);
+        w.sample_batch_reuse();
+        assert_eq!(w.batch_buf.len(), 7);
     }
 
     #[test]
     fn sampling_is_deterministic_per_seed() {
         let mut a = worker();
         let mut b = worker();
-        assert_eq!(a.sample_batch(), b.sample_batch());
+        a.sample_batch_reuse();
+        b.sample_batch_reuse();
+        assert_eq!(a.batch_buf, b.batch_buf);
     }
 
     #[test]
@@ -145,6 +141,6 @@ mod tests {
     fn empty_shard_panics() {
         let mut w = worker();
         w.shard.clear();
-        w.sample_batch();
+        w.sample_batch_reuse();
     }
 }

@@ -1,21 +1,16 @@
 //! The live worker driver: one DLion worker's main loop over a real
 //! transport.
 //!
-//! The loop performs, in this order, exactly the model mutations the
-//! simulator performs (see `dlion_core::runner`): drain arrived peer
-//! gradients, compute the own gradient from the current weights, record
-//! the loss for DKT, apply the own update, generate and send the
-//! strategy's partial gradients, run a DKT round on share iterations, and
-//! gate the next iteration on the worker's [`dlion_core::SyncPolicy`].
+//! Every model mutation — compute, own update, partial gradients, peer
+//! apply, the strict-BSP `(round, sender)` flush, DKT — comes from the
+//! per-round protocol in [`dlion_core::protocol`], the same code the
+//! simulator runs. This module adds the transport I/O around it: the
+//! clock, acks, the membership set and crash guesses, the Done barrier,
+//! the live GBS/LBS and health rounds, startup profiling, and rejoin.
 //! Peer gradients are applied the moment their frame is popped from the
-//! inbox — the live analogue of the simulator's `Msg` event — with one
-//! exception: under BSP *every* peer gradient is deferred and applied at a
-//! single flush point right before the next compute, in `(iteration,
-//! sender)` order (see `LiveWorker::deferred`). Gating guarantees the
-//! flushed round is complete at that point, so the float-op order is a
-//! pure function of the round schedule — synchronous runs are
-//! bit-identical to the simulator and to each other, regardless of
-//! arrival interleaving.
+//! inbox — the live analogue of the simulator's `Msg` event — except
+//! under BSP, where they wait for the flush point right before the next
+//! compute.
 //!
 //! ## Worker churn
 //!
@@ -69,18 +64,17 @@ use dlion_core::config::RunConfig;
 use dlion_core::gbs::GbsController;
 use dlion_core::lbs::{compute_rcp, partition_gbs, rcp_from_rate, PROFILE_LBS};
 use dlion_core::messages::{
-    apply_wire_format, decode_frame, decode_frame_header, decode_wire, encode_frame, wire_label,
-    GradData, GradMsg, Payload, WireCfg, WireFormat, DEFAULT_CHUNK_BYTES,
+    apply_wire_format, decode_frame, decode_frame_header, decode_wire, encode_frame,
+    trace_wire_bytes, wire_label, Payload, WireCfg, WireFormat, DEFAULT_CHUNK_BYTES,
 };
-use dlion_core::weighted::update_factor;
+use dlion_core::protocol::{Inbound, Ledger, Parked, Protocol};
 use dlion_core::worker::Worker;
-use dlion_core::SyncPolicy;
 use dlion_core::TopologySchedule;
-use dlion_core::{ExchangeTransport, FaultPlan, StrategyCtx, TransportError};
+use dlion_core::{ExchangeTransport, FaultPlan, TransportError};
 use dlion_nn::Dataset;
 use dlion_telemetry::{event, Histogram};
 use dlion_tensor::{DetRng, Tensor};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,7 +90,7 @@ const EWMA_ALPHA: f64 = 0.2;
 
 /// Knobs of a live run that have no [`RunConfig`] counterpart — they
 /// describe the *execution*, not the training problem.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct LiveOpts {
     /// Iterations each worker runs before entering the shutdown barrier.
     pub iters: u64,
@@ -175,26 +169,6 @@ impl Default for LiveOpts {
             health_interval: None,
             straggle: Vec::new(),
         }
-    }
-}
-
-impl std::fmt::Debug for LiveOpts {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LiveOpts")
-            .field("iters", &self.iters)
-            .field("eval_every", &self.eval_every)
-            .field("queue_cap", &self.queue_cap)
-            .field("bw_mbps", &self.bw_mbps)
-            .field("assumed_iter_time", &self.assumed_iter_time)
-            .field("stall_timeout", &self.stall_timeout)
-            .field("fault", &self.fault)
-            .field("peer_timeout", &self.peer_timeout)
-            .field("gbs_static", &self.gbs_static)
-            .field("wire", &self.wire)
-            .field("chunk_bytes", &self.chunk_bytes)
-            .field("health_interval", &self.health_interval)
-            .field("straggle", &self.straggle)
-            .finish_non_exhaustive()
     }
 }
 
@@ -358,12 +332,9 @@ impl WorkerOutcome {
             self.scratch_hw
         ));
         s.push_str(",\"silent_flagged\":[");
-        for (i, p) in self.silent_flagged.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&p.to_string());
-        }
+        push_list(&mut s, &self.silent_flagged, |s, p| {
+            s.push_str(&p.to_string())
+        });
         s.push(']');
         for (key, v) in [
             ("busy_secs", self.busy_secs),
@@ -378,65 +349,53 @@ impl WorkerOutcome {
             f64_into(v, &mut s);
         }
         s.push_str(",\"wire_bytes_by_kind\":{");
-        for (i, (label, v)) in self.wire_bytes_by_kind.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
+        push_list(&mut s, &self.wire_bytes_by_kind, |s, (label, v)| {
             s.push_str(&format!("\"{label}\":"));
-            f64_into(*v, &mut s);
-        }
-        s.push('}');
-        s.push_str(",\"evals\":[");
-        for (i, e) in self.evals.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
+            f64_into(*v, s);
+        });
+        s.push_str("},\"evals\":[");
+        push_list(&mut s, &self.evals, |s, e| {
             s.push_str(&format!("{{\"iteration\":{},\"wall\":", e.iteration));
-            f64_into(e.wall, &mut s);
+            f64_into(e.wall, s);
             s.push_str(",\"accuracy\":");
-            f64_into(e.accuracy, &mut s);
+            f64_into(e.accuracy, s);
             s.push_str(",\"loss\":");
-            f64_into(e.loss, &mut s);
+            f64_into(e.loss, s);
             s.push('}');
-        }
+        });
         s.push_str("],\"gbs_trace\":[");
-        for (i, (t, g)) in self.gbs_trace.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
+        push_list(&mut s, &self.gbs_trace, |s, (t, g)| {
             s.push('[');
-            f64_into(*t, &mut s);
+            f64_into(*t, s);
             s.push_str(&format!(",{g}]"));
-        }
+        });
         s.push_str("],\"lbs_trace\":[");
-        for (i, (t, parts)) in self.lbs_trace.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
+        push_list(&mut s, &self.lbs_trace, |s, (t, parts)| {
             s.push('[');
-            f64_into(*t, &mut s);
+            f64_into(*t, s);
             s.push_str(",[");
-            for (j, p) in parts.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&p.to_string());
-            }
+            push_list(s, parts, |s, p| s.push_str(&p.to_string()));
             s.push_str("]]");
-        }
+        });
         s.push_str("]}");
         s
     }
 
-    /// Parse [`WorkerOutcome::to_json`] output.
+    /// Parse [`WorkerOutcome::to_json`] output. Parent and children are
+    /// one binary, so every field `to_json` writes is required.
     pub fn from_json(line: &str) -> Result<WorkerOutcome, String> {
+        use dlion_telemetry::json::Json;
         let v = dlion_telemetry::json::parse(line)?;
+        let f = |x: &Json, what: &str| x.as_f64().ok_or_else(|| format!("bad {what}"));
         let num = |key: &str| {
             v.get(key)
-                .and_then(|x| x.as_f64())
-                .ok_or_else(|| format!("missing {key}"))
+                .map_or(Err(format!("missing {key}")), |x| f(x, key))
         };
         let int = |key: &str| num(key).map(|x| x as u64);
+        let arr = |key: &str| match v.get(key) {
+            Some(Json::Arr(a)) => Ok(a),
+            _ => Err(format!("missing {key}")),
+        };
         let mut out = WorkerOutcome {
             id: int("id")? as usize,
             iterations: int("iterations")?,
@@ -445,47 +404,33 @@ impl WorkerOutcome {
             dkt_merges: int("dkt_merges")?,
             busy_secs: num("busy_secs")?,
             wall_secs: num("wall_secs")?,
+            train_secs: num("train_secs")?,
+            health_rounds: int("health_rounds")?,
+            health_frames_recv: int("health_frames_recv")?,
+            sendq_hw: int("sendq_hw")?,
+            deferred_hw: int("deferred_hw")?,
+            scratch_hw: int("scratch_hw")?,
             grad_bytes: num("grad_bytes")?,
             weight_bytes: num("weight_bytes")?,
             control_bytes: num("control_bytes")?,
             net_overhead_bytes: num("net_overhead_bytes")?,
-            departed: matches!(
-                v.get("departed"),
-                Some(dlion_telemetry::json::Json::Bool(true))
-            ),
+            departed: matches!(v.get("departed"), Some(Json::Bool(true))),
             ..Default::default()
         };
-        // Health-plane fields default to zero so pre-health outcome lines
-        // (older workers, hand-written fixtures) still parse.
-        let opt = |key: &str| v.get(key).and_then(|x| x.as_f64()).unwrap_or(0.0);
-        out.train_secs = opt("train_secs");
-        out.health_rounds = opt("health_rounds") as u64;
-        out.health_frames_recv = opt("health_frames_recv") as u64;
-        out.sendq_hw = opt("sendq_hw") as u64;
-        out.deferred_hw = opt("deferred_hw") as u64;
-        out.scratch_hw = opt("scratch_hw") as u64;
-        if let Some(dlion_telemetry::json::Json::Arr(ids)) = v.get("silent_flagged") {
-            for p in ids {
-                out.silent_flagged
-                    .push(p.as_f64().ok_or("bad silent_flagged id")? as usize);
-            }
+        for p in arr("silent_flagged")? {
+            out.silent_flagged.push(f(p, "silent_flagged id")? as usize);
         }
-        if let Some(dlion_telemetry::json::Json::Obj(buckets)) = v.get("wire_bytes_by_kind") {
-            for (label, val) in buckets {
-                let b = val
-                    .as_f64()
-                    .ok_or_else(|| format!("bad wire_bytes_by_kind[{label}]"))?;
-                out.wire_bytes_by_kind.insert(label.clone(), b);
-            }
-        }
-        let Some(dlion_telemetry::json::Json::Arr(evals)) = v.get("evals") else {
-            return Err("missing evals".into());
+        let Some(Json::Obj(buckets)) = v.get("wire_bytes_by_kind") else {
+            return Err("missing wire_bytes_by_kind".into());
         };
-        for e in evals {
+        for (label, val) in buckets {
+            let b = f(val, &format!("wire_bytes_by_kind[{label}]"))?;
+            out.wire_bytes_by_kind.insert(label.clone(), b);
+        }
+        for e in arr("evals")? {
             let num = |key: &str| {
                 e.get(key)
-                    .and_then(|x| x.as_f64())
-                    .ok_or_else(|| format!("missing eval {key}"))
+                    .map_or(Err(format!("missing eval {key}")), |x| f(x, key))
             };
             out.evals.push(EvalPoint {
                 iteration: num("iteration")? as u64,
@@ -494,36 +439,42 @@ impl WorkerOutcome {
                 loss: num("loss")?,
             });
         }
-        use dlion_telemetry::json::Json;
-        if let Some(Json::Arr(rows)) = v.get("gbs_trace") {
-            for row in rows {
-                let pair = match row {
-                    Json::Arr(p) if p.len() == 2 => p,
-                    _ => return Err("bad gbs_trace row".into()),
-                };
-                let t = pair[0].as_f64().ok_or("bad gbs_trace time")?;
-                let g = pair[1].as_f64().ok_or("bad gbs_trace value")?;
-                out.gbs_trace.push((t, g as usize));
+        // Trace rows are `[nominal time, value]` pairs.
+        fn row(r: &Json) -> Result<(f64, &Json), String> {
+            match r {
+                Json::Arr(p) if p.len() == 2 => Ok((p[0].as_f64().ok_or("bad trace time")?, &p[1])),
+                _ => Err("bad trace row".into()),
             }
         }
-        if let Some(Json::Arr(rows)) = v.get("lbs_trace") {
-            for row in rows {
-                let pair = match row {
-                    Json::Arr(p) if p.len() == 2 => p,
-                    _ => return Err("bad lbs_trace row".into()),
-                };
-                let t = pair[0].as_f64().ok_or("bad lbs_trace time")?;
-                let Json::Arr(ps) = &pair[1] else {
-                    return Err("bad lbs_trace shares".into());
-                };
-                let mut parts = Vec::with_capacity(ps.len());
-                for p in ps {
-                    parts.push(p.as_f64().ok_or("bad lbs_trace share")? as usize);
-                }
-                out.lbs_trace.push((t, parts));
-            }
+        for r in arr("gbs_trace")? {
+            let (t, g) = row(r)?;
+            out.gbs_trace.push((t, f(g, "gbs_trace value")? as usize));
+        }
+        for r in arr("lbs_trace")? {
+            let (t, shares) = row(r)?;
+            let Json::Arr(ps) = shares else {
+                return Err("bad lbs_trace shares".into());
+            };
+            let parts = ps
+                .iter()
+                .map(|p| f(p, "lbs_trace share").map(|x| x as usize));
+            out.lbs_trace.push((t, parts.collect::<Result<_, _>>()?));
         }
         Ok(out)
+    }
+}
+
+/// Append `items` comma-separated, each written by `item`.
+fn push_list<T>(
+    s: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        item(s, x);
     }
 }
 
@@ -562,6 +513,8 @@ fn parse_rcp(body: &[u8], from: usize) -> Result<(u64, u64, f64), LiveError> {
 
 struct LiveWorker<'a, 'b> {
     worker: Worker,
+    /// The per-round worker protocol shared with the simulator.
+    proto: Protocol,
     env: &'b WorkerEnv<'a>,
     transport: &'b mut dyn ExchangeTransport,
     n: usize,
@@ -612,27 +565,16 @@ struct LiveWorker<'a, 'b> {
     /// demoted everywhere (sync gating, DKT, sends, the Done barrier);
     /// a rejoin re-activates it as an untracked backup member.
     active: Vec<bool>,
-    /// Renormalization ledger: `Some(K)` means worker `j` contributes
-    /// gradients only for rounds `< K`, so rounds `>= K` average over the
-    /// remaining workers. Seeded from the fault plan for planned kills
-    /// (making renormalization independent of message timing), set from
-    /// the Leave frame or a received-round guess for unplanned crashes.
-    departed_at: Vec<Option<u64>>,
-    /// Every worker's LBS share, for renormalizing the weighted (Eq. 7)
-    /// denominator when someone departs. All `initial_lbs` unless the
-    /// startup profiling round repartitioned.
-    lbs_of: Vec<usize>,
-    /// Under BSP ([`SyncPolicy::Synchronous`]) only: *all* peer gradients
-    /// are parked here on receipt and applied at one flush point, right
-    /// before the next compute, ordered by `(iteration, sender)`. Gating
-    /// guarantees every gradient of a round has arrived before the round
-    /// after it can start, so the flushed batch is complete and the apply
-    /// order is a pure function of the schedule — this is what makes BSP
-    /// runs bit-identical across transports, interleavings, and (with a
-    /// fault plan) across repeated churn runs.
-    /// `SyncState::on_gradient` is still recorded at receipt, so
-    /// iteration gating is unaffected.
-    deferred: VecDeque<(usize, GradMsg)>,
+    /// This worker's divisor ledger. Seeded from the fault plan for
+    /// planned kills, rejoining ones included (making renormalization
+    /// independent of message timing); set from the Leave frame or a
+    /// received-round guess for unplanned crashes. LBS shares follow the
+    /// batching rounds.
+    ledger: Ledger,
+    /// Strict-BSP peer gradients, applied at the one flush point right
+    /// before the next compute. `SyncState::on_gradient` is still
+    /// recorded at receipt, so iteration gating is unaffected.
+    parked: Parked,
     /// Wire encoding in force for every training payload this worker
     /// sends ([`LiveOpts::wire`] + [`LiveOpts::chunk_bytes`]).
     wire_cfg: WireCfg,
@@ -651,28 +593,6 @@ impl LiveWorker<'_, '_> {
         self.env.clock.now()
     }
 
-    /// The averaging denominator for round `round`: ourselves plus the
-    /// round's declared neighbors, minus anyone the `departed_at` ledger
-    /// says stopped contributing before that round. Group-wise by
-    /// construction — a departed neighbor renormalizes only the groups it
-    /// was in, and on a full mesh with no departures this reduces to the
-    /// global `(n, GBS)` pair exactly (shares partition the GBS).
-    fn counted_for(&self, round: u64) -> (usize, usize) {
-        let mut n = 1usize;
-        let mut gbs = self.lbs_of[self.me];
-        for j in self.env.schedule.neighbors(self.me, round) {
-            let counted = match self.departed_at[j] {
-                None => true,
-                Some(k) => round < k,
-            };
-            if counted {
-                n += 1;
-                gbs += self.lbs_of[j];
-            }
-        }
-        (n, gbs.max(1))
-    }
-
     /// Demote a departed peer: it no longer gates us, receives from us,
     /// or serves as a DKT target, and rounds from `completed` on are
     /// averaged without it. Idempotent.
@@ -688,14 +608,14 @@ impl LiveWorker<'_, '_> {
                 "peer" => peer, "iter" => self.worker.iteration);
         }
         self.active[peer] = false;
-        let k = completed.or(self.departed_at[peer]).unwrap_or_else(|| {
-            // Crash without a Leave: everything received so far is all
-            // there will be.
-            self.worker.sync.received_from(peer).map_or(0, |r| r + 1)
-        });
-        if self.departed_at[peer].is_none() {
-            self.departed_at[peer] = Some(k);
-        }
+        let k = completed
+            .or(self.ledger.departed_at(peer))
+            .unwrap_or_else(|| {
+                // Crash without a Leave: everything received so far is all
+                // there will be.
+                self.worker.sync.received_from(peer).map_or(0, |r| r + 1)
+            });
+        self.ledger.depart(peer, k);
         self.worker.sync.demote(peer);
         self.worker.dkt.forget(peer);
         event!(self.now(), w: self.me, "peer_departed";
@@ -736,26 +656,16 @@ impl LiveWorker<'_, '_> {
         )
     }
 
-    /// Receive with per-peer liveness folded in: a disconnect/timeout of
-    /// a live peer demotes it (a notification, not an error); one from a
-    /// peer that already completed the barrier is expected and ignored.
-    fn recv(&mut self, timeout: Duration) -> Result<Option<(usize, Vec<u8>)>, LiveError> {
-        match self.transport.recv_frame_timeout(timeout) {
-            Ok(x) => Ok(x),
-            Err(TransportError::PeerDisconnected { peer })
-            | Err(TransportError::PeerTimeout { peer }) => {
-                if !self.done[peer] {
-                    self.note_departed(peer, None);
-                }
-                Ok(None)
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Non-blocking [`recv`](Self::recv).
-    fn poll(&mut self) -> Result<Option<(usize, Vec<u8>)>, LiveError> {
-        match self.transport.try_recv_frame() {
+    /// Receive, waiting up to `timeout` (`None`: poll without blocking),
+    /// with per-peer liveness folded in: a disconnect/timeout of a live
+    /// peer demotes it (a notification, not an error); one from a peer
+    /// that already completed the barrier is expected and ignored.
+    fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<(usize, Vec<u8>)>, LiveError> {
+        let got = match timeout {
+            Some(t) => self.transport.recv_frame_timeout(t),
+            None => self.transport.try_recv_frame(),
+        };
+        match got {
             Ok(x) => Ok(x),
             Err(TransportError::PeerDisconnected { peer })
             | Err(TransportError::PeerTimeout { peer }) => {
@@ -807,12 +717,25 @@ impl LiveWorker<'_, '_> {
                     "to" => to, "kind" => kind, "bytes" => bytes);
                 Ok(())
             }
-            Err(_) if best_effort => Ok(()),
-            Err(TransportError::PeerGone(_)) | Err(TransportError::PeerDisconnected { .. }) => {
+            Err(e) => self.send_failed(to, e, best_effort),
+        }
+    }
+
+    /// A send to `to` failed: ignore it for a best-effort send, demote
+    /// the peer on a dead link, fail the worker otherwise.
+    fn send_failed(
+        &mut self,
+        to: usize,
+        e: TransportError,
+        best_effort: bool,
+    ) -> Result<(), LiveError> {
+        match e {
+            _ if best_effort => Ok(()),
+            TransportError::PeerGone(_) | TransportError::PeerDisconnected { .. } => {
                 self.note_departed(to, None);
                 Ok(())
             }
-            Err(e) => Err(e.into()),
+            e => Err(e.into()),
         }
     }
 
@@ -828,13 +751,26 @@ impl LiveWorker<'_, '_> {
         self.out.net_overhead_bytes += frame.len() as f64;
         match self.transport.send_frame(to, frame) {
             Ok(()) => Ok(()),
-            Err(_) if best_effort => Ok(()),
-            Err(TransportError::PeerGone(_)) | Err(TransportError::PeerDisconnected { .. }) => {
-                self.note_departed(to, None);
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
+            Err(e) => self.send_failed(to, e, best_effort),
         }
+    }
+
+    /// Fold a Done or Leave frame seen outside the main loop into the
+    /// membership state; returns the frame's kind. Control frames are
+    /// always plain, so the kind is peeked from the header without
+    /// reassembling a chunked payload stream.
+    fn note_control(&mut self, from: usize, frame: &[u8]) -> Result<u8, LiveError> {
+        let kind = decode_frame_header(frame)?.kind;
+        match kind {
+            KIND_DONE => self.done[from] = true,
+            KIND_LEAVE => {
+                let (_, body) = decode_frame(frame)?;
+                let k = u64_body(body, from)?;
+                self.note_departed(from, Some(k));
+            }
+            _ => {}
+        }
+        Ok(kind)
     }
 
     /// Handle one inbound wire stream (plain frame or chunked) — the live
@@ -909,179 +845,86 @@ impl LiveWorker<'_, '_> {
         during_shutdown: bool,
     ) -> Result<(), LiveError> {
         self.out.msgs_recv += 1;
-        event!(self.now(), w: self.me, "msg"; "from" => from, "kind" => payload.kind());
-        match payload {
-            Payload::Grad(msg) => {
-                self.worker.sync.on_gradient(from, msg.iteration);
-                if self.worker.strategy.sync_policy() == SyncPolicy::Synchronous {
-                    // See `deferred`: applied at the next flush point.
-                    self.deferred.push_back((from, msg));
-                    self.out.deferred_hw = self.out.deferred_hw.max(self.deferred.len() as u64);
-                    Ok(())
-                } else {
-                    let r = self.apply_grad(from, &msg, during_shutdown);
-                    Payload::Grad(msg).recycle(&mut self.pool);
-                    r
-                }
-            }
-            Payload::LossShare { avg_loss } => {
-                self.worker.dkt.update_known(from, avg_loss);
+        let now = self.now();
+        event!(now, w: self.me, "msg"; "from" => from, "kind" => payload.kind());
+        let inbound = self.proto.on_payload(
+            &mut self.worker,
+            &self.ledger,
+            &mut self.parked,
+            from,
+            payload,
+            now,
+        );
+        match inbound {
+            Inbound::Handled => Ok(()),
+            Inbound::Parked => {
+                self.out.deferred_hw = self.out.deferred_hw.max(self.parked.len() as u64);
                 Ok(())
             }
-            Payload::DktRequest => {
-                // We are the (believed) best worker: ship our weights back.
-                let weights = self.worker.model.weights();
-                let sender_loss = self.worker.dkt.avg_loss().unwrap_or(f64::INFINITY);
-                self.send(
-                    from,
-                    Payload::Weights {
-                        weights,
-                        sender_loss,
-                    },
-                    during_shutdown,
-                )
+            Inbound::Applied(msg) => {
+                Payload::Grad(msg).recycle(&mut self.pool);
+                self.ack(from, during_shutdown)
             }
-            Payload::Weights { weights, .. } => {
-                self.worker
-                    .model
-                    .merge_weights(&weights, self.env.cfg.dkt.lambda);
+            Inbound::Reply(reply) => self.send(from, reply, during_shutdown),
+            Inbound::Merged(weights) => {
                 self.out.dkt_merges += 1;
-                event!(self.now(), w: self.me, "dkt_merge"; "from" => from);
                 for t in weights {
                     self.pool.push(t.into_data());
                 }
                 Ok(())
             }
-            Payload::Leave { completed } => {
-                // The live stack announces departures with the net-level
-                // [`KIND_LEAVE`] control frame; a core-codec `Leave` exists
-                // so the *simulator* can route departures through modelled
-                // links. Honor it anyway so the two dialects stay
-                // interchangeable on the wire.
+            // The live stack announces departures with the net-level
+            // [`KIND_LEAVE`] control frame; a core-codec `Leave` exists so
+            // the *simulator* can route departures through modelled links.
+            // Honor it anyway so the two dialects stay interchangeable on
+            // the wire.
+            Inbound::Leave(completed) => {
                 self.note_departed(from, Some(completed));
                 Ok(())
             }
         }
     }
 
-    /// Apply a peer gradient to the model and acknowledge it (the ack
-    /// drives the sender's `SyncState::on_delivered_from`). The update
-    /// factor averages over the workers counted for the gradient's round.
-    fn apply_grad(
-        &mut self,
-        from: usize,
-        msg: &GradMsg,
-        during_shutdown: bool,
-    ) -> Result<(), LiveError> {
-        let weighted = self.env.cfg.system.weighted_update();
-        let (n_counted, gbs_counted) = self.counted_for(msg.iteration);
-        let factor = update_factor(self.env.cfg.lr, n_counted, msg.lbs, gbs_counted, weighted);
-        match &msg.data {
-            GradData::Dense(vars) => self.worker.model.apply_dense_update(vars, factor),
-            GradData::Sparse(vars) => {
-                for (v, s) in vars.iter().enumerate() {
-                    self.worker.model.apply_sparse_update(v, s, factor);
-                }
-            }
-        }
-        let ack_best_effort = during_shutdown || !self.active[from];
-        self.send_control(from, KIND_ACK, &[], ack_best_effort)
+    /// Acknowledge an applied peer gradient (the ack drives the sender's
+    /// `SyncState::on_delivered_from`).
+    fn ack(&mut self, from: usize, during_shutdown: bool) -> Result<(), LiveError> {
+        let best_effort = during_shutdown || !self.active[from];
+        self.send_control(from, KIND_ACK, &[], best_effort)
     }
 
-    /// The single BSP flush point: apply every deferred gradient whose
-    /// round this worker has completed AND whose batch is complete, in
-    /// `(iteration, sender)` order (`force` applies everything —
-    /// shutdown, when no further local round will come).
-    ///
-    /// A round's batch is complete once every sender counted for it —
-    /// the round's declared neighbors minus peers the departure ledger
-    /// says left before it — is present. Without that hold-back, two
-    /// same-round gradients arriving across separate flush ticks would
-    /// apply in arrival order, and float addition order (hence the final
-    /// bits) would depend on frame racing instead of on `(round,
-    /// sender)`. The hold-back cannot stall: a counted sender's gradient
-    /// is guaranteed delivered (per-peer FIFO puts it before any Leave
-    /// or EOF), and sync gating blocks the next local round on the same
-    /// set anyway.
+    /// The single BSP flush point: apply every parked gradient of a
+    /// complete round this worker has finished, in the protocol's
+    /// `(round, sender)` order (`force` applies everything — shutdown,
+    /// when no further local round will come).
     fn flush_deferred(&mut self, force: bool, during_shutdown: bool) -> Result<(), LiveError> {
-        if self.deferred.is_empty() {
-            return Ok(());
-        }
-        let mut batch: Vec<(usize, GradMsg)> = Vec::new();
-        let mut rounds: Vec<u64> = self
-            .deferred
-            .iter()
-            .map(|(_, m)| m.iteration)
-            .filter(|&r| force || r < self.worker.iteration)
-            .collect();
-        rounds.sort_unstable();
-        rounds.dedup();
-        for r in rounds {
-            let complete = force
-                || self
-                    .env
-                    .schedule
-                    .neighbors(self.me, r)
-                    .into_iter()
-                    .filter(|&j| match self.departed_at[j] {
-                        None => true,
-                        Some(k) => r < k,
-                    })
-                    .all(|j| {
-                        self.deferred
-                            .iter()
-                            .any(|&(from, ref m)| from == j && m.iteration == r)
-                    });
-            if !complete {
-                continue;
-            }
-            for _ in 0..self.deferred.len() {
-                let (from, msg) = self.deferred.pop_front().expect("len-bounded pop");
-                if msg.iteration == r {
-                    batch.push((from, msg));
-                } else {
-                    self.deferred.push_back((from, msg));
-                }
-            }
-        }
-        // Canonical apply order: by round, then by sender id.
-        batch.sort_by_key(|(from, msg)| (msg.iteration, *from));
-        for (from, msg) in batch {
-            self.apply_grad(from, &msg, during_shutdown)?;
+        let ready = self.proto.take_ready(
+            &mut self.parked,
+            self.me,
+            self.worker.iteration,
+            &self.ledger,
+            force,
+        );
+        for (from, msg) in ready {
+            self.proto.apply_grad(&mut self.worker, &self.ledger, &msg);
+            self.ack(from, during_shutdown)?;
             Payload::Grad(msg).recycle(&mut self.pool);
         }
         Ok(())
     }
 
-    /// One training iteration: same mutation order as the simulator's
-    /// `start_iteration` + `on_iter_done` pair, executed back to back
-    /// (live compute is atomic; there is no virtual completion time).
+    /// One training iteration: the protocol's compute and step back to
+    /// back (live compute is atomic; there is no virtual completion
+    /// time), then the fan-out, a DKT round on share iterations, and a
+    /// periodic evaluation.
     fn step(&mut self) -> Result<(), LiveError> {
         let me = self.me;
-        let n = self.n;
-        let cfg = self.env.cfg;
         let t0 = self.env.clock.now();
-        let batch = self.worker.sample_batch();
-        let (x, y) = self
-            .env
-            .data
-            .batch_scratch(&batch, &mut self.worker.scratch);
-        let Worker {
-            model,
-            scratch,
-            grads,
-            ..
-        } = &mut self.worker;
-        let loss = model.forward_backward_scratch(x, &y, scratch, grads);
-        for g in self.worker.grads.iter_mut() {
-            g.clip_inplace(cfg.grad_clip);
-        }
+        let loss = self.proto.compute(&mut self.worker, self.env.data);
         let measured = (self.env.clock.now() - t0).max(1e-6);
         // `--straggle` skews the *effective* iteration time; ×1.0 is an
         // exact float no-op, so unskewed workers are byte-identical to a
         // run without the flag.
         let dt = self.env.opts.assumed_iter_time.unwrap_or(measured) * self.straggle;
-        self.worker.last_iter_time = dt;
         self.out.busy_secs += measured;
         // Feed the live batching controller: the training clock schedules
         // adjustment rounds, the throughput EWMA becomes our RCP.
@@ -1092,109 +935,34 @@ impl LiveWorker<'_, '_> {
         } else {
             rate
         };
-        event!(self.now(), w: me, "iter_start";
+        let now = self.now();
+        event!(now, w: me, "iter_start";
             "iter" => self.worker.iteration, "lbs" => self.worker.lbs,
             "loss" => loss, "dt" => measured);
-
-        // The round this step completes and its declared neighbor set —
-        // the fan-out targets, the divisor group, and (after the
-        // increment below) the next round's gating set.
-        let round = self.worker.iteration;
-        let round_nbrs = self.env.schedule.neighbors(me, round);
-        if round == 0 || self.env.schedule.rotates() {
-            event!(self.now(), w: me, "topology_round";
-                "round" => round,
-                "topology" => self.env.schedule.name(),
-                "neighbors" => round_nbrs.len(),
-                "links" => self.env.schedule.link_count(round));
-        }
-        self.worker.dkt.record_loss(loss);
-        let (n_counted, gbs_counted) = self.counted_for(round);
-        let own_factor = update_factor(
-            cfg.lr,
-            n_counted,
-            self.worker.lbs,
-            gbs_counted,
-            cfg.system.weighted_update(),
-        );
-        let ctx = StrategyCtx {
-            worker: me,
-            n,
-            iteration: self.worker.iteration,
-            now: self.now(),
-            lbs: self.worker.lbs,
-            iter_time: dt,
-            neighbors: round_nbrs.clone(),
-            bw_mbps: (0..n)
-                .map(|j| if j == me { 0.0 } else { self.env.opts.bw_mbps })
-                .collect(),
-            bytes_per_param: self.env.bytes_per_param,
-            total_params: self.env.total_params,
-            lr: cfg.lr,
-        };
-        let Worker {
-            strategy,
-            model,
-            grads,
-            ..
-        } = &mut self.worker;
-        model.apply_dense_update(grads, own_factor);
-        let mut updates = strategy.generate_partial_gradients(&ctx, grads, model);
-        // Rotate the send order each iteration so no peer is permanently
-        // first (or last) in this worker's send queues.
-        if !updates.is_empty() {
-            let r = (self.worker.iteration as usize) % updates.len();
-            updates.rotate_left(r);
-        }
-        self.worker.iteration += 1;
-        // Same rotation rule as the simulator: gate the next round on the
-        // peers that owed us gradients this round (per-round sets are
-        // symmetric, so they are exactly this round's senders).
-        self.worker.sync.retarget(&round_nbrs);
-        let share = self.worker.dkt.is_share_round(self.worker.iteration);
-        event!(self.now(), w: me, "iter_done";
-            "iter" => self.worker.iteration,
-            "updates" => updates.len(),
-            "share_dkt" => share);
-        for up in updates {
+        let bw = self.env.opts.bw_mbps;
+        let step = self
+            .proto
+            .step(&mut self.worker, &self.ledger, loss, now, dt, |_| bw);
+        for up in step.updates {
             if !self.active[up.peer] {
                 continue;
             }
             self.worker.sync.on_sent_to(up.peer);
             self.send(up.peer, Payload::Grad(up.msg), false)?;
         }
-        if share {
-            self.dkt_round()?;
+        if step.share_dkt {
+            let active = &self.active;
+            let sends = self
+                .proto
+                .dkt_round(&mut self.worker, now, |j| active[j])
+                .unwrap_or_default();
+            for (to, payload) in sends {
+                self.send(to, payload, false)?;
+            }
         }
         let every = self.env.opts.eval_every;
         if every > 0 && self.worker.iteration.is_multiple_of(every) {
             self.eval();
-        }
-        Ok(())
-    }
-
-    /// A DKT round (§3.4): share the recent average loss, then pull from
-    /// the best-known worker — same logic as the simulator's `dkt_round`.
-    fn dkt_round(&mut self) -> Result<(), LiveError> {
-        let Some(avg) = self.worker.dkt.avg_loss() else {
-            return Ok(());
-        };
-        event!(self.now(), w: self.me, "dkt_round"; "avg_loss" => avg);
-        self.worker.dkt.update_known(self.me, avg);
-        for j in self.env.schedule.neighbors(self.me, self.worker.iteration) {
-            if !self.active[j] {
-                continue;
-            }
-            self.send(j, Payload::LossShare { avg_loss: avg }, false)?;
-        }
-        let round = self.worker.iteration / self.worker.dkt.cfg().period_iters;
-        if self.worker.last_pull_round < round {
-            if let Some(target) = self.worker.dkt.pull_target() {
-                if self.active[target] {
-                    self.worker.last_pull_round = round;
-                    self.send(target, Payload::DktRequest, false)?;
-                }
-            }
         }
         Ok(())
     }
@@ -1262,33 +1030,28 @@ impl LiveWorker<'_, '_> {
         let stall = self.env.opts.stall_timeout.as_secs_f64();
         let mut deadline = self.env.clock.now() + stall;
         while have < (0..self.n).filter(|&j| self.active[j]).count() {
-            match self.recv(POLL)? {
+            match self.recv(Some(POLL))? {
                 Some((from, frame)) => {
                     deadline = self.env.clock.now() + stall;
-                    // Peek the kind from the validated header only:
-                    // control frames (RCP/Leave) are always plain, and a
-                    // racing chunked payload is stashed raw for the main
-                    // loop without paying for its reassembly here.
-                    let kind = decode_frame_header(&frame)?.kind;
-                    if kind == KIND_RCP {
-                        let (_, body) = decode_frame(&frame)?;
-                        let (round, _, peer_rcp) = parse_rcp(body, from)?;
-                        if round > 0 {
-                            // A fast peer already opened a periodic round;
-                            // park it for the main loop.
-                            self.note_rcp(round, from, peer_rcp);
-                            continue;
+                    // A racing chunked payload is stashed raw for the
+                    // main loop without paying for its reassembly here.
+                    match self.note_control(from, &frame)? {
+                        KIND_RCP => {
+                            let (_, body) = decode_frame(&frame)?;
+                            let (round, _, peer_rcp) = parse_rcp(body, from)?;
+                            if round > 0 {
+                                // A fast peer already opened a periodic
+                                // round; park it for the main loop.
+                                self.note_rcp(round, from, peer_rcp);
+                                continue;
+                            }
+                            if rcps[from] == 0.0 {
+                                have += 1;
+                            }
+                            rcps[from] = peer_rcp;
                         }
-                        if rcps[from] == 0.0 {
-                            have += 1;
-                        }
-                        rcps[from] = peer_rcp;
-                    } else if kind == KIND_LEAVE {
-                        let (_, body) = decode_frame(&frame)?;
-                        let k = u64_body(body, from)?;
-                        self.note_departed(from, Some(k));
-                    } else {
-                        stash.push((from, frame));
+                        KIND_DONE | KIND_LEAVE => {}
+                        _ => stash.push((from, frame)),
                     }
                 }
                 None => {
@@ -1312,7 +1075,9 @@ impl LiveWorker<'_, '_> {
         }
         let parts = partition_gbs(self.gbs, &rcps);
         self.worker.lbs = parts[self.me];
-        self.lbs_of = parts.clone();
+        for (j, &lbs) in parts.iter().enumerate() {
+            self.ledger.set_lbs(j, lbs);
+        }
         self.last_contributors = (0..self.n).filter(|&j| self.active[j]).collect();
         self.out.lbs_trace.push((0.0, parts.clone()));
         event!(self.now(), w: self.me, "lbs_repartition";
@@ -1338,10 +1103,7 @@ impl LiveWorker<'_, '_> {
     /// plan — decides, so participation under a kill plan is a pure
     /// function of the plan, not of Leave-frame timing.
     fn rcp_expected(&self, j: usize, trigger_iter: u64) -> bool {
-        j != self.me
-            && self.active[j]
-            && !self.done[j]
-            && self.departed_at[j].is_none_or(|k| trigger_iter < k)
+        j != self.me && self.active[j] && !self.done[j] && self.ledger.counts_for(j, trigger_iter)
     }
 
     /// Execute every adjustment round whose boundary the *local* training
@@ -1410,7 +1172,7 @@ impl LiveWorker<'_, '_> {
             if !missing {
                 break;
             }
-            match self.recv(POLL)? {
+            match self.recv(Some(POLL))? {
                 Some((from, frame)) => {
                     deadline = self.env.clock.now() + stall;
                     self.handle_frame(from, frame, false)?;
@@ -1432,8 +1194,7 @@ impl LiveWorker<'_, '_> {
             .unwrap_or_else(|| vec![None; self.n]);
         let contributors: Vec<usize> = (0..self.n)
             .filter(|&j| {
-                (j == self.me || entry[j].is_some())
-                    && self.departed_at[j].is_none_or(|k| trigger_iter < k)
+                (j == self.me || entry[j].is_some()) && self.ledger.counts_for(j, trigger_iter)
             })
             .collect();
 
@@ -1479,7 +1240,7 @@ impl LiveWorker<'_, '_> {
             let mut row = vec![0usize; self.n];
             for (slot, &j) in contributors.iter().enumerate() {
                 row[j] = parts[slot];
-                self.lbs_of[j] = parts[slot];
+                self.ledger.set_lbs(j, parts[slot]);
             }
             if contributors.contains(&self.me) {
                 self.worker.lbs = row[self.me];
@@ -1540,7 +1301,7 @@ impl LiveWorker<'_, '_> {
             if j == self.me {
                 continue;
             }
-            let overdue = self.departed_at[j].is_some_and(|k| self.worker.iteration >= k);
+            let overdue = !self.ledger.counts_for(j, self.worker.iteration);
             if overdue && self.health.flag_silent(j) {
                 event!(self.now(), w: self.me, "health_silence";
                     "peer" => j, "iter" => self.worker.iteration);
@@ -1571,7 +1332,7 @@ impl LiveWorker<'_, '_> {
             round: self.health_round,
             iteration: self.worker.iteration,
             gbs_round: self.gbs_round,
-            deferred: self.deferred.len() as u32,
+            deferred: self.parked.len() as u32,
             sendq_depth: sendq_depth as u32,
             scratch_hw,
             ewma_rate: self.ewma_rate,
@@ -1649,23 +1410,12 @@ impl LiveWorker<'_, '_> {
         let until = clock.now() + delay.as_secs_f64();
         while clock.now() < until {
             let left = Duration::from_secs_f64((until - clock.now()).max(0.0)).min(POLL);
-            if let Some((from, frame)) = self.recv(left)? {
-                // Control frames are always plain; a chunked payload
-                // stream is dead traffic here, so peek the kind from
-                // the header without reassembling it.
-                match decode_frame_header(&frame)?.kind {
-                    KIND_DONE => self.done[from] = true,
-                    KIND_LEAVE => {
-                        let (_, body) = decode_frame(&frame)?;
-                        let k = u64_body(body, from)?;
-                        self.note_departed(from, Some(k));
-                    }
-                    _ => {}
-                }
+            if let Some((from, frame)) = self.recv(Some(left))? {
+                self.note_control(from, &frame)?;
             }
         }
         // Stale pre-departure gradients are superseded by the pull.
-        self.deferred.clear();
+        self.parked.clear();
         if self.all_peers_finished() {
             return Ok(false);
         }
@@ -1684,19 +1434,10 @@ impl LiveWorker<'_, '_> {
             if clock.now() > deadline || self.all_peers_finished() {
                 return Ok(false);
             }
-            if let Some((from, frame)) = self.recv(POLL)? {
-                match decode_frame_header(&frame)?.kind {
-                    KIND_CATCHUP => {
-                        let (_, body) = decode_frame(&frame)?;
-                        break (from, u64_body(body, from)?);
-                    }
-                    KIND_DONE => self.done[from] = true,
-                    KIND_LEAVE => {
-                        let (_, body) = decode_frame(&frame)?;
-                        let k = u64_body(body, from)?;
-                        self.note_departed(from, Some(k));
-                    }
-                    _ => {}
+            if let Some((from, frame)) = self.recv(Some(POLL))? {
+                if self.note_control(from, &frame)? == KIND_CATCHUP {
+                    let (_, body) = decode_frame(&frame)?;
+                    break (from, u64_body(body, from)?);
                 }
             }
         };
@@ -1708,17 +1449,11 @@ impl LiveWorker<'_, '_> {
             if clock.now() > deadline || self.all_peers_finished() {
                 return Ok(false);
             }
-            let Some((from, frame)) = self.recv(POLL)? else {
+            let Some((from, frame)) = self.recv(Some(POLL))? else {
                 continue;
             };
-            match decode_frame_header(&frame)?.kind {
-                KIND_DONE => self.done[from] = true,
-                KIND_LEAVE => {
-                    let (_, body) = decode_frame(&frame)?;
-                    let k = u64_body(body, from)?;
-                    self.note_departed(from, Some(k));
-                }
-                KIND_ACK | KIND_RCP | KIND_HELLO | KIND_CATCHUP => {}
+            match self.note_control(from, &frame)? {
+                KIND_DONE | KIND_LEAVE | KIND_ACK | KIND_RCP | KIND_HELLO | KIND_CATCHUP => {}
                 _ => {
                     // Payload frames (the donor's Weights in particular)
                     // may arrive as chunked streams.
@@ -1742,7 +1477,7 @@ impl LiveWorker<'_, '_> {
                                     self.worker.sync.demote(j);
                                 }
                             }
-                            self.deferred.retain(|(_, m)| m.iteration >= target);
+                            self.parked.retain(|(_, m)| m.iteration >= target);
                             event!(self.now(), w: self.me, "rejoined";
                                 "donor" => donor, "iter" => target);
                             return Ok(true);
@@ -1773,29 +1508,10 @@ impl LiveWorker<'_, '_> {
         self.out.iterations = self.worker.iteration;
         self.out.wall_secs = self.now();
         self.finish_health();
-        self.emit_wire_bytes_event();
+        trace_wire_bytes(self.now(), Some(self.me), &self.out.wire_bytes_by_kind);
         event!(self.out.wall_secs, w: self.me, "run_end";
             "iterations" => self.out.iterations, "departed" => true);
         self.out
-    }
-
-    /// Trace the encoded bytes-on-the-wire ledger, one fixed key per
-    /// wire label so sim and live rows line up column-for-column.
-    fn emit_wire_bytes_event(&self) {
-        let b = |label: &str| {
-            self.out
-                .wire_bytes_by_kind
-                .get(label)
-                .copied()
-                .unwrap_or(0.0)
-        };
-        event!(self.now(), w: self.me, "wire_bytes_by_kind";
-            "grad_dense" => b("grad_dense"),
-            "grad_sparse" => b("grad_sparse"),
-            "grad_fp16" => b("grad_fp16"),
-            "grad_int8" => b("grad_int8"),
-            "weights" => b("weights"),
-            "control" => b("control"));
     }
 }
 
@@ -1816,10 +1532,10 @@ pub fn run_worker(
     let scope_env = format!("{}/w{me}", env.env_label);
     let _scope = dlion_telemetry::run_scope(&system, &scope_env, env.cfg.seed);
 
-    let mut departed_at = vec![None; n];
+    let mut ledger = Ledger::new(n, env.cfg.initial_lbs);
     for kill in &env.opts.fault.kills {
         if kill.worker < n {
-            departed_at[kill.worker] = Some(kill.at_iter);
+            ledger.depart(kill.worker, kill.at_iter);
         }
     }
     let mut pending_kill = env.opts.fault.kill_of(me);
@@ -1854,9 +1570,15 @@ pub fn run_worker(
         last_contributors: Vec::new(),
         done: vec![false; n],
         active: vec![true; n],
-        departed_at,
-        lbs_of: vec![env.cfg.initial_lbs; n],
-        deferred: VecDeque::new(),
+        ledger,
+        parked: Vec::new(),
+        proto: Protocol::new(
+            env.cfg,
+            n,
+            Arc::clone(&env.schedule),
+            env.total_params,
+            env.bytes_per_param,
+        ),
         wire_cfg: WireCfg {
             format: env.opts.wire,
             chunk_bytes: env.opts.chunk_bytes,
@@ -1888,7 +1610,7 @@ pub fn run_worker(
     loop {
         // Apply everything that has arrived before deciding to compute —
         // the freshest peer state the transport can give us.
-        while let Some((from, frame)) = lw.poll()? {
+        while let Some((from, frame)) = lw.recv(None)? {
             lw.handle_frame(from, frame, false)?;
             last_progress = env.clock.now();
         }
@@ -1932,7 +1654,7 @@ pub fn run_worker(
             lw.step()?;
             last_progress = env.clock.now();
         } else {
-            match lw.recv(POLL)? {
+            match lw.recv(Some(POLL))? {
                 Some((from, frame)) => {
                     lw.handle_frame(from, frame, false)?;
                     last_progress = env.clock.now();
@@ -1963,8 +1685,8 @@ pub fn run_worker(
     lw.done[me] = true;
     event!(lw.now(), w: me, "barrier_enter"; "iter" => lw.worker.iteration);
     let mut deadline = env.clock.now() + stall;
-    while !(0..n).all(|j| lw.done[j] || !lw.active[j] || !env.links[j]) {
-        match lw.recv(POLL) {
+    while !lw.all_peers_finished() {
+        match lw.recv(Some(POLL)) {
             Ok(Some((from, frame))) => {
                 lw.handle_frame(from, frame, true)?;
                 deadline = env.clock.now() + stall;
@@ -1986,7 +1708,7 @@ pub fn run_worker(
         }
     }
     // Anything still queued locally arrived before the senders' Dones.
-    while let Ok(Some((from, frame))) = lw.poll() {
+    while let Ok(Some((from, frame))) = lw.recv(None) {
         lw.handle_frame(from, frame, true)?;
     }
     // No further local rounds: whatever is still deferred applies now.
@@ -1999,7 +1721,7 @@ pub fn run_worker(
         lw.out.final_weights = Some(lw.worker.model.weights());
     }
     lw.finish_health();
-    lw.emit_wire_bytes_event();
+    trace_wire_bytes(lw.now(), Some(me), &lw.out.wire_bytes_by_kind);
     event!(lw.out.wall_secs, w: me, "run_end";
         "iterations" => lw.out.iterations,
         "grad_bytes" => lw.out.grad_bytes,
@@ -2091,20 +1813,12 @@ mod tests {
     fn outcome_json_rejects_garbage() {
         assert!(WorkerOutcome::from_json("not json").is_err());
         assert!(WorkerOutcome::from_json("{\"id\":1}").is_err());
-    }
-
-    #[test]
-    fn pre_health_outcome_lines_still_parse() {
-        // A line without any health-plane fields (the pre-health wire
-        // format) must default them rather than fail.
-        let line = "{\"id\":0,\"iterations\":5,\"msgs_sent\":1,\"msgs_recv\":1,\
-                    \"dkt_merges\":0,\"departed\":false,\"busy_secs\":1.0,\
-                    \"wall_secs\":2.0,\"grad_bytes\":10.0,\"weight_bytes\":0.0,\
-                    \"control_bytes\":0.0,\"net_overhead_bytes\":0.0,\
-                    \"evals\":[]}";
-        let out = WorkerOutcome::from_json(line).unwrap();
-        assert_eq!(out.train_secs, 0.0);
-        assert_eq!(out.health_rounds, 0);
-        assert!(out.silent_flagged.is_empty());
+        // Parent and children are one binary, so every field `to_json`
+        // writes is required: a line without `train_secs` is rejected.
+        let full = WorkerOutcome::default().to_json();
+        assert!(WorkerOutcome::from_json(&full).is_ok());
+        let no_train = full.replace(",\"train_secs\":0", "");
+        assert_ne!(no_train, full);
+        assert!(WorkerOutcome::from_json(&no_train).is_err());
     }
 }

@@ -87,7 +87,7 @@ pub struct RankHello {
 }
 
 /// Transport tuning knobs (everything beyond the address list).
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct TcpOpts {
     /// Per-peer send queue capacity, in frames (backpressure bound).
     pub queue_cap: usize,
@@ -124,18 +124,6 @@ impl Default for TcpOpts {
             instrument: false,
             ranks: None,
         }
-    }
-}
-
-impl std::fmt::Debug for TcpOpts {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpOpts")
-            .field("queue_cap", &self.queue_cap)
-            .field("establish_timeout", &self.establish_timeout)
-            .field("peer_timeout", &self.peer_timeout)
-            .field("instrument", &self.instrument)
-            .field("ranks", &self.ranks)
-            .finish_non_exhaustive()
     }
 }
 

@@ -332,9 +332,6 @@ fn dims2(t: &Tensor, what: &str) -> (usize, usize) {
 /// `C = A·B` for `A: M×K`, `B: K×N`, written into `out` (`len == m * n`).
 pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let _p = dlion_telemetry::profile_scope(dlion_telemetry::Phase::Gemm);
-    if cfg!(feature = "seed-kernels") {
-        return matmul_seed_into(a, b, out);
-    }
     let (m, k) = dims2(a, "matmul lhs");
     let (k2, n) = dims2(b, "matmul rhs");
     assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
@@ -360,9 +357,6 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
 /// `C = A·Bᵀ` for `A: M×K`, `B: N×K`, written into `out` (`len == m * n`).
 pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let _p = dlion_telemetry::profile_scope(dlion_telemetry::Phase::Gemm);
-    if cfg!(feature = "seed-kernels") {
-        return matmul_nt_seed_into(a, b, out);
-    }
     let (m, k) = dims2(a, "matmul_nt lhs");
     let (n, k2) = dims2(b, "matmul_nt rhs");
     assert_eq!(k, k2, "matmul_nt inner dims {k} vs {k2}");
@@ -388,9 +382,6 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
 /// `C = Aᵀ·B` for `A: K×M`, `B: K×N`, written into `out` (`len == m * n`).
 pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let _p = dlion_telemetry::profile_scope(dlion_telemetry::Phase::Gemm);
-    if cfg!(feature = "seed-kernels") {
-        return matmul_tn_seed_into(a, b, out);
-    }
     let (k, m) = dims2(a, "matmul_tn lhs");
     let (k2, n) = dims2(b, "matmul_tn rhs");
     assert_eq!(k, k2, "matmul_tn inner dims {k} vs {k2}");
@@ -465,13 +456,9 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
 //
 // The algorithms this repository shipped before the blocked rewrite: plain
 // row-wise loops with an `av == 0.0` skip in the axpy variants and no
-// packing or register tiling. Always compiled so the bench binary can
-// measure them head-to-head against the blocked kernels; building with
-// `--features seed-kernels` additionally reroutes the public `_into` entry
-// points through them, so one source tree produces an honest "before"
-// binary for end-to-end comparisons. (The seed kernels accumulate in
-// k-major axpy order, so under the feature the blocked kernels' exact
-// bit-match tests do not apply.)
+// packing or register tiling. Kept so the bench binary can measure them
+// head-to-head against the blocked kernels. (They accumulate in k-major
+// axpy order, so they are not bit-identical to the blocked kernels.)
 
 /// Seed algorithm for [`matmul_into`]: per output row, axpy each `A[i][k]`
 /// against row `k` of B, skipping zero multipliers.
