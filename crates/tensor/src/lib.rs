@@ -6,9 +6,8 @@
 //! gradient-exchange machinery need from a numerics library:
 //!
 //! * [`Tensor`] — a dense, row-major `f32` tensor with elementwise and
-//!   BLAS-like operations (parallelized over the in-tree deterministic
-//!   thread pool [`par`] where it pays off, with deterministic reductions
-//!   so simulations are bit-reproducible),
+//!   BLAS-like operations with fixed-order reductions, so simulations are
+//!   bit-reproducible,
 //! * [`ops`] — matmul, 2-D convolution (incl. depthwise), max-pooling and
 //!   activation kernels with hand-written backward passes,
 //! * [`SparseVec`] — the sparse gradient representation exchanged between
@@ -18,7 +17,10 @@
 //! * [`stats`] — small statistics helpers (mean/std, linear regression used
 //!   by the LBS controller's compute profiler, 95 % confidence intervals),
 //! * [`DetRng`] — a deterministic, seedable RNG with the distributions the
-//!   workloads need (uniform, normal via Box–Muller, shuffling).
+//!   workloads need (uniform, normal via Box–Muller, shuffling),
+//! * [`par`] — a small deterministic thread pool for coarse work such as
+//!   whole experiment cells. Kernels run on the calling thread: at the
+//!   paper's model sizes a per-kernel fork-join costs more than it saves.
 //!
 //! Nothing in this crate knows about workers, networks or training loops;
 //! it is a pure math layer.
@@ -39,8 +41,8 @@ pub use shape::Shape;
 pub use sparse::SparseVec;
 pub use tensor::Tensor;
 
-/// Deterministic parallel sum: chunks are reduced in parallel but combined
-/// in a fixed (index) order, so results do not depend on thread scheduling.
+/// Deterministic chunked sum: each 4096-element chunk is reduced on its
+/// own, then the partials are combined in index order.
 ///
 /// This matters because the cluster simulator must be bit-reproducible for a
 /// given seed: figure regeneration and tests rely on it.
@@ -49,16 +51,7 @@ pub fn deterministic_sum(xs: &[f32]) -> f32 {
     if xs.len() <= CHUNK {
         return xs.iter().sum();
     }
-    let n_chunks = xs.len().div_ceil(CHUNK);
-    let mut partials = vec![0.0f32; n_chunks];
-    // One task per chunk; each writes only its own slot, so the combine
-    // below always sees partials in index order.
-    par::par_chunks_mut(&mut partials, 1, |i, slot| {
-        let start = i * CHUNK;
-        let end = (start + CHUNK).min(xs.len());
-        slot[0] = xs[start..end].iter().sum();
-    });
-    partials.iter().sum()
+    xs.chunks(CHUNK).map(|c| c.iter().sum::<f32>()).sum()
 }
 
 #[cfg(test)]
@@ -69,12 +62,12 @@ mod tests {
     fn deterministic_sum_matches_serial() {
         let xs: Vec<f32> = (0..100_000).map(|i| (i as f32 * 0.001).sin()).collect();
         let serial: f32 = {
-            // Same chunking as the parallel path, applied serially.
+            // Partials over 4096-element chunks, combined in index order.
             let partials: Vec<f32> = xs.chunks(4096).map(|c| c.iter().sum::<f32>()).collect();
             partials.iter().sum()
         };
-        let parallel = deterministic_sum(&xs);
-        assert_eq!(serial, parallel, "parallel sum must be bit-identical");
+        let chunked = deterministic_sum(&xs);
+        assert_eq!(serial, chunked, "chunked sum must be bit-identical");
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! through ReLU and genuinely contain zeros, unlike the dense activations
 //! that made the old matmul zero-skip a pessimization.
 
-use crate::par;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -152,7 +151,7 @@ pub fn conv2d_direct(input: &Tensor, weight: &Tensor, bias: &Tensor, pad: usize)
     let wd = weight.data();
     let bd = bias.data();
     let mut out = vec![0.0f32; n * f * oh * ow];
-    par::par_chunks_mut(&mut out, f * oh * ow, |ni, ochunk| {
+    for (ni, ochunk) in out.chunks_mut(f * oh * ow).enumerate() {
         let ibase = ni * c * h * w;
         for fi in 0..f {
             let b = bd[fi];
@@ -183,7 +182,7 @@ pub fn conv2d_direct(input: &Tensor, weight: &Tensor, bias: &Tensor, pad: usize)
                 }
             }
         }
-    });
+    }
     Tensor::from_vec(Shape::d4(n, f, oh, ow), out)
 }
 
@@ -216,9 +215,9 @@ pub fn conv2d_backward_direct(
     let wd = weight.data();
     let dd = dout.data();
 
-    // dinput: parallel over batch items (each writes only its own slice).
+    // dinput: one batch item at a time (each writes only its own slice).
     let mut dinput = vec![0.0f32; n * c * h * w];
-    par::par_chunks_mut(&mut dinput, c * h * w, |ni, dslice| {
+    for (ni, dslice) in dinput.chunks_mut(c * h * w).enumerate() {
         let dbase = ni * f * oh * ow;
         for fi in 0..f {
             for oy in 0..oh {
@@ -248,52 +247,47 @@ pub fn conv2d_backward_direct(
                 }
             }
         }
-    });
+    }
 
-    // dweight + dbias: parallel over output filters (each filter's gradient
+    // dweight + dbias: one output filter at a time (each filter's gradient
     // slice is reduced over the batch with a fixed-order loop).
     let mut dweight = vec![0.0f32; f * c * kh * kw];
     let mut dbias = vec![0.0f32; f];
-    par::par_chunks2_mut(
-        &mut dweight,
-        c * kh * kw,
-        &mut dbias,
-        1,
-        |fi, wslice, dbv| {
-            for ni in 0..n {
-                let dbase = ni * f * oh * ow + fi * oh * ow;
-                let ibase = ni * c * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = dd[dbase + oy * ow + ox];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        dbv[0] += g;
-                        for ci in 0..c {
-                            let icbase = ibase + ci * h * w;
-                            let wcbase = ci * kh * kw;
-                            for ky in 0..kh {
-                                let iy = oy + ky;
-                                if iy < pad || iy >= h + pad {
+    let filters = dweight.chunks_mut(c * kh * kw).zip(dbias.iter_mut());
+    for (fi, (wslice, dbv)) in filters.enumerate() {
+        for ni in 0..n {
+            let dbase = ni * f * oh * ow + fi * oh * ow;
+            let ibase = ni * c * h * w;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let g = dd[dbase + oy * ow + ox];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    *dbv += g;
+                    for ci in 0..c {
+                        let icbase = ibase + ci * h * w;
+                        let wcbase = ci * kh * kw;
+                        for ky in 0..kh {
+                            let iy = oy + ky;
+                            if iy < pad || iy >= h + pad {
+                                continue;
+                            }
+                            let iy = iy - pad;
+                            for kx in 0..kw {
+                                let ix = ox + kx;
+                                if ix < pad || ix >= w + pad {
                                     continue;
                                 }
-                                let iy = iy - pad;
-                                for kx in 0..kw {
-                                    let ix = ox + kx;
-                                    if ix < pad || ix >= w + pad {
-                                        continue;
-                                    }
-                                    wslice[wcbase + ky * kw + kx] +=
-                                        g * id[icbase + iy * w + (ix - pad)];
-                                }
+                                wslice[wcbase + ky * kw + kx] +=
+                                    g * id[icbase + iy * w + (ix - pad)];
                             }
                         }
                     }
                 }
             }
-        },
-    );
+        }
+    }
 
     ConvGrads {
         dinput: Tensor::from_vec(Shape::d4(n, c, h, w), dinput),
@@ -326,7 +320,7 @@ pub fn depthwise_conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, pad: usi
     let wd = weight.data();
     let bd = bias.data();
     let mut out = vec![0.0f32; n * c * oh * ow];
-    par::par_chunks_mut(&mut out, c * oh * ow, |ni, ochunk| {
+    for (ni, ochunk) in out.chunks_mut(c * oh * ow).enumerate() {
         for ci in 0..c {
             let icbase = (ni * c + ci) * h * w;
             let wbase = ci * kh * kw;
@@ -352,7 +346,7 @@ pub fn depthwise_conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, pad: usi
                 }
             }
         }
-    });
+    }
     Tensor::from_vec(Shape::d4(n, c, oh, ow), out)
 }
 
@@ -382,7 +376,7 @@ pub fn depthwise_conv2d_backward(
     let dd = dout.data();
 
     let mut dinput = vec![0.0f32; n * c * h * w];
-    par::par_chunks_mut(&mut dinput, c * h * w, |ni, dslice| {
+    for (ni, dslice) in dinput.chunks_mut(c * h * w).enumerate() {
         for ci in 0..c {
             let dbase = (ni * c + ci) * oh * ow;
             let wbase = ci * kh * kw;
@@ -409,11 +403,12 @@ pub fn depthwise_conv2d_backward(
                 }
             }
         }
-    });
+    }
 
     let mut dweight = vec![0.0f32; c * kh * kw];
     let mut dbias = vec![0.0f32; c];
-    par::par_chunks2_mut(&mut dweight, kh * kw, &mut dbias, 1, |ci, wslice, dbv| {
+    let channels = dweight.chunks_mut(kh * kw).zip(dbias.iter_mut());
+    for (ci, (wslice, dbv)) in channels.enumerate() {
         for ni in 0..n {
             let dbase = (ni * c + ci) * oh * ow;
             let icbase = (ni * c + ci) * h * w;
@@ -423,7 +418,7 @@ pub fn depthwise_conv2d_backward(
                     if g == 0.0 {
                         continue;
                     }
-                    dbv[0] += g;
+                    *dbv += g;
                     for ky in 0..kh {
                         let iy = oy + ky;
                         if iy < pad || iy >= h + pad {
@@ -441,7 +436,7 @@ pub fn depthwise_conv2d_backward(
                 }
             }
         }
-    });
+    }
 
     ConvGrads {
         dinput: Tensor::from_vec(Shape::d4(n, c, h, w), dinput),

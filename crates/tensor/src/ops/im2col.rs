@@ -16,7 +16,6 @@
 
 use crate::ops::conv::ConvGrads;
 use crate::ops::matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
-use crate::par;
 use crate::scratch::Scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -54,7 +53,7 @@ pub fn im2col_into(input: &Tensor, kh: usize, kw: usize, pad: usize, out: &mut [
     let row_len = c * kh * kw;
     assert_eq!(out.len(), n * oh * ow * row_len, "im2col out length");
     let id = input.data();
-    par::par_chunks_mut(out, oh * ow * row_len, |ni, chunk| {
+    for (ni, chunk) in out.chunks_mut(oh * ow * row_len).enumerate() {
         let ibase = ni * c * h * w;
         for oy in 0..oh {
             for ox in 0..ow {
@@ -77,13 +76,13 @@ pub fn im2col_into(input: &Tensor, kh: usize, kw: usize, pad: usize, out: &mut [
                 }
             }
         }
-    });
+    }
 }
 
 /// Adjoint of [`im2col`]: scatter-add a patch-gradient matrix
 /// `(N*OH*OW, C*KH*KW)` back into an input-shaped `(N,C,H,W)` tensor.
-/// Parallel over batch items; within one item the scatter runs in a fixed
-/// loop order, so the accumulation is deterministic.
+/// Batch items are scattered one after another, each in a fixed loop
+/// order, so the accumulation is deterministic.
 #[allow(clippy::too_many_arguments)]
 pub fn col2im(
     dpatches: &Tensor,
@@ -123,7 +122,7 @@ pub fn col2im_into(
     );
     assert_eq!(dinput.len(), n * c * h * w, "col2im dinput length");
     let pd = dpatches.data();
-    par::par_chunks_mut(dinput, c * h * w, |ni, dslice| {
+    for (ni, dslice) in dinput.chunks_mut(c * h * w).enumerate() {
         let rbase = ni * oh * ow;
         for oy in 0..oh {
             for ox in 0..ow {
@@ -144,7 +143,7 @@ pub fn col2im_into(
                 }
             }
         }
-    });
+    }
 }
 
 /// GEMM-backed convolution, numerically equivalent to [`crate::ops::conv2d`].
@@ -199,7 +198,7 @@ pub fn conv2d_im2col_s(
     let pd = &prod[..];
     let bd = bias.data();
     let mut out = s.take_uninit(n * f * oh * ow);
-    par::par_chunks_mut(&mut out, f * oh * ow, |ni, chunk| {
+    for (ni, chunk) in out.chunks_mut(f * oh * ow).enumerate() {
         let rbase = ni * oh * ow;
         for fi in 0..f {
             let b = bd[fi];
@@ -207,7 +206,7 @@ pub fn conv2d_im2col_s(
                 chunk[fi * oh * ow + p] = pd[(rbase + p) * f + fi] + b;
             }
         }
-    });
+    }
     s.put(prod);
     Tensor::from_vec(Shape::d4(n, f, oh, ow), out)
 }
@@ -260,7 +259,7 @@ pub fn conv2d_backward_im2col_s(
     // output transpose.
     let dd = dout.data();
     let mut drows_buf = s.take_uninit(rows * f);
-    par::par_chunks_mut(&mut drows_buf, oh * ow * f, |ni, chunk| {
+    for (ni, chunk) in drows_buf.chunks_mut(oh * ow * f).enumerate() {
         let dbase = ni * f * oh * ow;
         for p in 0..oh * ow {
             let dst = &mut chunk[p * f..(p + 1) * f];
@@ -268,7 +267,7 @@ pub fn conv2d_backward_im2col_s(
                 *v = dd[dbase + fi * oh * ow + p];
             }
         }
-    });
+    }
     let drows = Tensor::from_vec(Shape::d2(rows, f), drows_buf);
 
     // dbias: column sums of dout rows, fixed (row-major) reduction order.
@@ -365,6 +364,10 @@ mod tests {
             (1, 1, 5, 7, 2, 3, 0),
             (3, 4, 6, 6, 8, 1, 0),
             (1, 2, 4, 4, 3, 3, 2),
+            // CipherNet's three convolutions at LBS 32.
+            (32, 1, 12, 12, 4, 3, 1),
+            (32, 4, 6, 6, 8, 3, 1),
+            (32, 8, 3, 3, 16, 3, 1),
         ] {
             let input = Tensor::randn(Shape::d4(n, c, h, w), 1.0, &mut rng);
             let weight = Tensor::randn(Shape::d4(f, c, k, k), 0.5, &mut rng);
@@ -388,6 +391,10 @@ mod tests {
             (2, 3, 8, 8, 5, 3, 1),
             (1, 1, 5, 7, 2, 3, 0),
             (3, 4, 6, 6, 8, 1, 0),
+            // CipherNet's three convolutions at LBS 32.
+            (32, 1, 12, 12, 4, 3, 1),
+            (32, 4, 6, 6, 8, 3, 1),
+            (32, 8, 3, 3, 16, 3, 1),
         ] {
             let input = Tensor::randn(Shape::d4(n, c, h, w), 1.0, &mut rng);
             let weight = Tensor::randn(Shape::d4(f, c, k, k), 0.5, &mut rng);

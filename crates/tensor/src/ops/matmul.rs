@@ -1,5 +1,5 @@
 //! Dense matrix multiplication kernels: cache-blocked, register-tiled,
-//! panel-packed, parallel over row blocks.
+//! panel-packed, run on the calling thread.
 //!
 //! Three variants cover everything a dense layer's forward/backward pass
 //! needs without materializing transposes:
@@ -20,9 +20,11 @@
 //! (4×16) register tile: for each `k` it loads one packed B row and `MR`
 //! A scalars, updating 64 accumulators. On AVX-512 hosts the full-tile
 //! case uses explicit 512-bit `mul`/`add` intrinsics (one ZMM per row);
-//! elsewhere a constant-trip-count scalar loop autovectorizes. Row blocks
-//! of [`MC`] rows are distributed over the thread pool; each task owns a
-//! disjoint slice of `C`.
+//! elsewhere a constant-trip-count scalar loop autovectorizes. The driver
+//! sweeps `C` in `MR`-row strips on the calling thread: the GEMMs a
+//! training step issues are small (CipherNet's largest at LBS 32 is
+//! 4608×9×4), so a thread-pool dispatch per call would cost more than the
+//! arithmetic it spreads out.
 //!
 //! # Determinism rules
 //!
@@ -31,11 +33,10 @@
 //! Tiling changes which elements are computed together, never the order of
 //! additions within one element, and `mul_add`/split-`k` reductions are
 //! deliberately not used — so every variant is bit-identical to the naive
-//! `i,j,k` triple loop, on any thread count, on every run. (The seed
+//! `i,j,k` triple loop, on every run. (The seed
 //! kernels' `av == 0.0` skip is gone: it cost a branch per inner iteration
 //! on dense activations and made results depend on signed zeros.)
 
-use crate::par;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
@@ -45,16 +46,6 @@ pub const MR: usize = 4;
 /// Micro-tile columns (packed B panel width): one 512-bit vector, or two
 /// 256-bit ones on AVX2-only hosts.
 pub const NR: usize = 16;
-/// Rows of `C` per parallel task.
-const MC: usize = 32;
-
-/// Per-kernel parallelism thresholds on `m * n * k`, calibrated with
-/// `dlion-bench kernels` (see `results/BENCH_kernels.json`): a task must be
-/// worth ≥ ~10 µs of math before pool dispatch pays for itself. `matmul_nt`
-/// amortizes an extra transpose-pack of B, so it parallelizes slightly later.
-const PAR_FLOPS_MM: usize = 32 * 32 * 32;
-const PAR_FLOPS_NT: usize = 40 * 32 * 32;
-const PAR_FLOPS_TN: usize = 32 * 32 * 32;
 
 thread_local! {
     /// Reusable panel-packing buffer (per thread; GEMMs never nest).
@@ -200,8 +191,13 @@ fn micro_a_rows(
     if mr == MR {
         #[cfg(target_arch = "x86_64")]
         if simd::available() {
-            // SAFETY: feature checked; slice bounds asserted by callers'
-            // indexing below would hold for the same accesses.
+            assert!(
+                k == 0 || a.len() >= (MR - 1) * a_stride + k,
+                "A tile extent"
+            );
+            assert!(panel.len() >= k * NR, "B panel extent");
+            // SAFETY: AVX-512F was detected above and the asserts establish
+            // the slice extents `simd::rows` requires.
             unsafe { simd::rows(k, a, a_stride, panel, acc) };
             return;
         }
@@ -243,8 +239,13 @@ fn micro_a_cols(
     if mr == MR {
         #[cfg(target_arch = "x86_64")]
         if simd::available() {
-            // SAFETY: feature checked; same element accesses as the
-            // portable loop below.
+            assert!(
+                k == 0 || a.len() >= (k - 1) * a_stride + MR,
+                "A tile extent"
+            );
+            assert!(panel.len() >= k * NR, "B panel extent");
+            // SAFETY: AVX-512F was detected above and the asserts establish
+            // the slice extents `simd::cols` requires.
             unsafe { simd::cols(k, a, a_stride, panel, acc) };
             return;
         }
@@ -274,8 +275,8 @@ fn micro_a_cols(
     }
 }
 
-/// Shared driver: C rows `[0, m)` in MC-row tasks, each task sweeping its
-/// rows in MR strips against every packed panel.
+/// Shared driver: sweeps C rows `[0, m)` in MR strips, each strip against
+/// every packed panel.
 #[allow(clippy::too_many_arguments)]
 fn gemm_driver(
     m: usize,
@@ -283,44 +284,29 @@ fn gemm_driver(
     n: usize,
     out: &mut [f32],
     packed: &[f32],
-    parallel: bool,
-    a_at_row: &(dyn Fn(usize) -> (usize, usize) + Sync), // row -> (offset, stride)
+    a_at_row: &dyn Fn(usize) -> (usize, usize), // row -> (offset, stride)
     col_major_a: bool,
     ad: &[f32],
 ) {
     assert_eq!(out.len(), m * n, "gemm output buffer size");
     let np = n.div_ceil(NR);
-    let body = |blk: usize, chunk: &mut [f32]| {
-        let i0 = blk * MC;
-        let rows = chunk.len() / n;
-        let mut r0 = 0;
-        while r0 < rows {
-            let mr = MR.min(rows - r0);
-            for jp in 0..np {
-                let j0 = jp * NR;
-                let ne = NR.min(n - j0);
-                let panel = &packed[jp * k * NR..(jp + 1) * k * NR];
-                let mut acc = [[0.0f32; NR]; MR];
-                let (off, stride) = a_at_row(i0 + r0);
-                if col_major_a {
-                    micro_a_cols(mr, k, &ad[off..], stride, panel, &mut acc);
-                } else {
-                    micro_a_rows(mr, k, &ad[off..], stride, panel, &mut acc);
-                }
-                for r in 0..mr {
-                    let dst = &mut chunk[(r0 + r) * n + j0..(r0 + r) * n + j0 + ne];
-                    dst.copy_from_slice(&acc[r][..ne]);
-                }
+    for (strip, chunk) in out.chunks_mut(MR * n).enumerate() {
+        let mr = chunk.len() / n;
+        let (off, stride) = a_at_row(strip * MR);
+        for jp in 0..np {
+            let j0 = jp * NR;
+            let ne = NR.min(n - j0);
+            let panel = &packed[jp * k * NR..(jp + 1) * k * NR];
+            let mut acc = [[0.0f32; NR]; MR];
+            if col_major_a {
+                micro_a_cols(mr, k, &ad[off..], stride, panel, &mut acc);
+            } else {
+                micro_a_rows(mr, k, &ad[off..], stride, panel, &mut acc);
             }
-            r0 += mr;
+            for (r, row) in acc.iter().take(mr).enumerate() {
+                chunk[r * n + j0..r * n + j0 + ne].copy_from_slice(&row[..ne]);
+            }
         }
-    };
-    if parallel {
-        par::par_chunks_mut(out, MC * n, body);
-    } else {
-        out.chunks_mut(MC * n)
-            .enumerate()
-            .for_each(|(b, c)| body(b, c));
     }
 }
 
@@ -339,17 +325,7 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     PACK_BUF.with(|p| {
         let mut pb = std::mem::take(&mut *p.borrow_mut());
         pack_panels_rowmajor(bd, k, n, &mut pb);
-        gemm_driver(
-            m,
-            k,
-            n,
-            out,
-            &pb,
-            m * n * k >= PAR_FLOPS_MM,
-            &|row| (row * k, k),
-            false,
-            ad,
-        );
+        gemm_driver(m, k, n, out, &pb, &|row| (row * k, k), false, ad);
         *p.borrow_mut() = pb;
     });
 }
@@ -364,17 +340,7 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     PACK_BUF.with(|p| {
         let mut pb = std::mem::take(&mut *p.borrow_mut());
         pack_panels_transposed(bd, k, n, &mut pb);
-        gemm_driver(
-            m,
-            k,
-            n,
-            out,
-            &pb,
-            m * n * k >= PAR_FLOPS_NT,
-            &|row| (row * k, k),
-            false,
-            ad,
-        );
+        gemm_driver(m, k, n, out, &pb, &|row| (row * k, k), false, ad);
         *p.borrow_mut() = pb;
     });
 }
@@ -389,17 +355,7 @@ pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     PACK_BUF.with(|p| {
         let mut pb = std::mem::take(&mut *p.borrow_mut());
         pack_panels_rowmajor(bd, k, n, &mut pb);
-        gemm_driver(
-            m,
-            k,
-            n,
-            out,
-            &pb,
-            m * n * k >= PAR_FLOPS_TN,
-            &|row| (row, m),
-            true,
-            ad,
-        );
+        gemm_driver(m, k, n, out, &pb, &|row| (row, m), true, ad);
         *p.borrow_mut() = pb;
     });
 }
@@ -468,26 +424,18 @@ pub fn matmul_seed_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
     assert_eq!(out.len(), m * n, "gemm output buffer size");
     let (ad, bd) = (a.data(), b.data());
-    let body = |i0: usize, rows: &mut [f32]| {
-        for (r, orow) in rows.chunks_mut(n).enumerate() {
-            let i = i0 + r;
-            orow.fill(0.0);
-            for kk in 0..k {
-                let av = ad[i * k + kk];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &bd[kk * n..(kk + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
+    for (i, orow) in out.chunks_mut(n).enumerate() {
+        orow.fill(0.0);
+        for kk in 0..k {
+            let av = ad[i * k + kk];
+            if av == 0.0 {
+                continue;
+            }
+            let brow = &bd[kk * n..(kk + 1) * n];
+            for (o, &bv) in orow.iter_mut().zip(brow) {
+                *o += av * bv;
             }
         }
-    };
-    if m * n * k >= PAR_FLOPS_MM {
-        par::par_chunks_mut(out, n, body);
-    } else {
-        body(0, out);
     }
 }
 
@@ -499,23 +447,16 @@ pub fn matmul_nt_seed_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     assert_eq!(k, k2, "matmul_nt inner dims {k} vs {k2}");
     assert_eq!(out.len(), m * n, "gemm output buffer size");
     let (ad, bd) = (a.data(), b.data());
-    let body = |i0: usize, rows: &mut [f32]| {
-        for (r, orow) in rows.chunks_mut(n).enumerate() {
-            let arow = &ad[(i0 + r) * k..(i0 + r + 1) * k];
-            for (j, o) in orow.iter_mut().enumerate() {
-                let brow = &bd[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += arow[kk] * brow[kk];
-                }
-                *o = acc;
+    for (i, orow) in out.chunks_mut(n).enumerate() {
+        let arow = &ad[i * k..(i + 1) * k];
+        for (j, o) in orow.iter_mut().enumerate() {
+            let brow = &bd[j * k..(j + 1) * k];
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += arow[kk] * brow[kk];
             }
+            *o = acc;
         }
-    };
-    if m * n * k >= PAR_FLOPS_NT {
-        par::par_chunks_mut(out, n, body);
-    } else {
-        body(0, out);
     }
 }
 
@@ -527,26 +468,18 @@ pub fn matmul_tn_seed_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     assert_eq!(k, k2, "matmul_tn inner dims {k} vs {k2}");
     assert_eq!(out.len(), m * n, "gemm output buffer size");
     let (ad, bd) = (a.data(), b.data());
-    let body = |i0: usize, rows: &mut [f32]| {
-        for (r, orow) in rows.chunks_mut(n).enumerate() {
-            let i = i0 + r;
-            orow.fill(0.0);
-            for kk in 0..k {
-                let av = ad[kk * m + i];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &bd[kk * n..(kk + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
+    for (i, orow) in out.chunks_mut(n).enumerate() {
+        orow.fill(0.0);
+        for kk in 0..k {
+            let av = ad[kk * m + i];
+            if av == 0.0 {
+                continue;
+            }
+            let brow = &bd[kk * n..(kk + 1) * n];
+            for (o, &bv) in orow.iter_mut().zip(brow) {
+                *o += av * bv;
             }
         }
-    };
-    if m * n * k >= PAR_FLOPS_TN {
-        par::par_chunks_mut(out, n, body);
-    } else {
-        body(0, out);
     }
 }
 
@@ -611,6 +544,10 @@ mod tests {
             (33, 47, 29),
             (64, 64, 64),
             (65, 31, 70),
+            // CipherNet's lowered conv GEMMs at LBS 32.
+            (4608, 9, 4),
+            (1152, 36, 8),
+            (288, 72, 16),
         ] {
             let a = Tensor::randn(Shape::d2(m, k), 1.0, &mut rng);
             let b = Tensor::randn(Shape::d2(k, n), 1.0, &mut rng);

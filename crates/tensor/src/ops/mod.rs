@@ -5,9 +5,12 @@
 //! # Kernel architecture
 //!
 //! The GEMM family (`ops::matmul`) is cache-blocked and register-tiled:
-//! the right-hand operand is packed into 8-column panels, the micro-kernel
-//! computes a 4×8 accumulator tile per sweep, and row blocks of the output
-//! are distributed over the in-tree thread pool (`crate::par`). Large
+//! the right-hand operand is packed into 16-column panels and the
+//! micro-kernel computes a 4×16 accumulator tile per sweep. Every kernel
+//! runs on the thread that calls it. The training step's kernels are small
+//! (CipherNet's largest lowered GEMM at LBS 32 is 4608×9×4), so a
+//! thread-pool fork-join per kernel costs more CPU than it saves; the pool
+//! in `crate::par` parallelizes whole experiment cells instead. Large
 //! convolutions are lowered onto those GEMMs via `ops::im2col`
 //! (forward *and* backward); tiny shapes keep the branch-free direct loops
 //! in `ops::conv`. Backend dispatch depends only on static shapes.
@@ -15,9 +18,9 @@
 //! # Determinism rules
 //!
 //! All kernels follow two rules that make results bit-identical across
-//! runs, thread counts, and schedulings:
+//! runs and hosts:
 //!
-//! 1. every output element is written by exactly one task, and
+//! 1. every output element is written exactly once, and
 //! 2. every reduction into an element is a single sequential chain in a
 //!    fixed index order (ascending `k` for GEMM, the loop-nest order for
 //!    direct conv, chunk-index order for sums).

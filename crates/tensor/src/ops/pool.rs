@@ -1,6 +1,5 @@
 //! 2×2 max-pooling with stride 2 (the only pooling the paper's models use).
 
-use crate::par;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -39,12 +38,15 @@ pub fn maxpool2_into(input: &Tensor, out: &mut [f32], arg: &mut [u32]) {
     assert_eq!(out.len(), n * c * oh * ow, "maxpool2 out length");
     assert_eq!(arg.len(), n * c * oh * ow, "maxpool2 argmax length");
     let id = input.data();
-    par::par_chunks2_mut(out, oh * ow, arg, oh * ow, |nc, ochunk, achunk| {
+    let planes = out.chunks_mut(oh * ow).zip(arg.chunks_mut(oh * ow));
+    for (nc, (ochunk, achunk)) in planes.enumerate() {
         let ibase = nc * h * w;
         for oy in 0..oh {
             for ox in 0..ow {
                 let mut best = f32::NEG_INFINITY;
-                let mut best_i = 0usize;
+                // A window with nothing above -inf (all -inf or NaN) routes
+                // its gradient to its own first element.
+                let mut best_i = ibase + oy * 2 * w + ox * 2;
                 for dy in 0..2 {
                     for dx in 0..2 {
                         let iy = oy * 2 + dy;
@@ -61,7 +63,7 @@ pub fn maxpool2_into(input: &Tensor, out: &mut [f32], arg: &mut [u32]) {
                 achunk[oy * ow + ox] = best_i as u32;
             }
         }
-    });
+    }
 }
 
 /// Backward max-pool: routes each output gradient to the argmax position.
@@ -118,6 +120,24 @@ mod tests {
         let dout = Tensor::from_vec(Shape::d4(1, 1, 1, 1), vec![5.0]);
         let din = maxpool2_backward(input.shape(), &dout, &arg);
         assert_eq!(din.data(), &[0.0, 5.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn all_neg_inf_window_routes_gradient_inside_window() {
+        let ninf = f32::NEG_INFINITY;
+        let input = Tensor::from_vec(
+            Shape::d4(1, 1, 2, 4),
+            vec![
+                1.0, 2.0, ninf, ninf, //
+                3.0, 4.0, ninf, ninf,
+            ],
+        );
+        let (out, arg) = maxpool2(&input);
+        assert_eq!(out.data(), &[4.0, ninf]);
+        assert_eq!(arg, vec![5, 2]);
+        let dout = Tensor::from_vec(Shape::d4(1, 1, 1, 2), vec![1.0, 5.0]);
+        let din = maxpool2_backward(input.shape(), &dout, &arg);
+        assert_eq!(din.data(), &[0.0, 0.0, 5.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
     }
 
     #[test]

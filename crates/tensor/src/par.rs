@@ -1,5 +1,12 @@
 //! Minimal deterministic data-parallel runtime (no external dependencies).
 //!
+//! The pool serves coarse-grained work only: [`par_map`] over whole
+//! experiment cells, each of which runs a complete simulation. Tensor
+//! kernels do not use it. Every kernel in a training step is small (the
+//! largest CipherNet GEMM at LBS 32 is 4608×9×4), so a fork-join dispatch
+//! per kernel cost more CPU than the arithmetic it spread out; the kernels
+//! run on the thread that calls them.
+//!
 //! A lazily-spawned, persistent worker pool executes indexed task batches:
 //! [`run`] hands each index in `0..n_tasks` to exactly one thread, with the
 //! submitting thread participating. Determinism rule: tasks must write only
@@ -10,8 +17,7 @@
 //!
 //! The pool is intentionally simple:
 //! * one batch in flight at a time — a second submitter (or a task that
-//!   itself calls [`run`], e.g. a parallel experiment cell whose kernels
-//!   are parallel too) falls back to inline serial execution, so nesting
+//!   itself calls [`run`]) falls back to inline serial execution, so nesting
 //!   can never deadlock;
 //! * work is claimed from an atomic counter, so load balancing is dynamic
 //!   while output placement stays index-addressed and deterministic;
@@ -27,6 +33,8 @@ use std::sync::{Condvar, Mutex, OnceLock};
 /// has finished the batch, so the borrow outlives all uses.
 #[derive(Clone, Copy)]
 struct JobPtr(*const (dyn Fn(usize) + Sync));
+// SAFETY: the pointee is `Sync`, so sharing it across threads is sound, and
+// `run` keeps the referent alive until every worker has dropped its use.
 unsafe impl Send for JobPtr {}
 
 struct PoolState {
@@ -101,6 +109,9 @@ fn spawn_workers(p: &'static Pool) {
                         seen_gen = st.generation;
                         st.job.expect("generation advanced without a job")
                     };
+                    // SAFETY: `run` published this pointer for the current
+                    // generation and blocks until `workers_left` reaches
+                    // zero, which happens only after this `drain` returns.
                     let f = unsafe { &*job.0 };
                     drain(p, f);
                     let mut st = p.state.lock().expect("pool mutex");
@@ -152,6 +163,9 @@ pub fn run(n_tasks: usize, f: &(dyn Fn(usize) + Sync)) {
     // Publish the batch: counters first, then the generation bump that
     // wakes workers (the mutex orders both for every waiter).
     let erased: &(dyn Fn(usize) + Sync) = f;
+    // SAFETY: the transmute only erases the borrow's lifetime so it fits in
+    // the `'static` pool state. `run` does not return before every worker
+    // has finished the batch and `st.job` is cleared, so no use outlives `f`.
     let job = JobPtr(unsafe {
         std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(erased)
     });
@@ -179,8 +193,10 @@ pub fn run(n_tasks: usize, f: &(dyn Fn(usize) + Sync)) {
 /// mutable base pointer; soundness comes from tasks touching disjoint
 /// index-derived regions only.
 struct SendPtr<T>(*mut T);
-unsafe impl<T> Sync for SendPtr<T> {}
-unsafe impl<T> Send for SendPtr<T> {}
+// SAFETY: the one field is a base pointer that tasks only write through,
+// each to its own index-derived slot, so no two threads touch the same `T`;
+// `T: Send` makes it sound to store a `T` from another thread.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
     /// Accessed through a method so closures capture the `Sync` wrapper,
@@ -188,60 +204,6 @@ impl<T> SendPtr<T> {
     fn get(&self) -> *mut T {
         self.0
     }
-}
-
-/// Parallel `chunks_mut(chunk).enumerate().for_each(f)`: each task gets one
-/// disjoint chunk, identified by its chunk index.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    let len = data.len();
-    if len == 0 {
-        return;
-    }
-    let n_chunks = len.div_ceil(chunk);
-    let base = SendPtr(data.as_mut_ptr());
-    run(n_chunks, &|i| {
-        let start = i * chunk;
-        let end = (start + chunk).min(len);
-        // Disjoint by construction: chunk i covers [i*chunk, (i+1)*chunk).
-        let slice = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-        f(i, slice);
-    });
-}
-
-/// Parallel lock-step chunking of two slices: task `i` receives chunk `i`
-/// of `a` (size `chunk_a`) and chunk `i` of `b` (size `chunk_b`). The two
-/// slices must describe the same number of chunks.
-pub fn par_chunks2_mut<T, U, F>(a: &mut [T], chunk_a: usize, b: &mut [U], chunk_b: usize, f: F)
-where
-    T: Send,
-    U: Send,
-    F: Fn(usize, &mut [T], &mut [U]) + Sync,
-{
-    assert!(chunk_a > 0 && chunk_b > 0, "chunk sizes must be positive");
-    let n_chunks = a.len().div_ceil(chunk_a);
-    assert_eq!(
-        n_chunks,
-        b.len().div_ceil(chunk_b),
-        "slices disagree on chunk count"
-    );
-    if n_chunks == 0 {
-        return;
-    }
-    let (la, lb) = (a.len(), b.len());
-    let pa = SendPtr(a.as_mut_ptr());
-    let pb = SendPtr(b.as_mut_ptr());
-    run(n_chunks, &|i| {
-        let (sa, sb) = (i * chunk_a, i * chunk_b);
-        let (ea, eb) = ((sa + chunk_a).min(la), (sb + chunk_b).min(lb));
-        let ca = unsafe { std::slice::from_raw_parts_mut(pa.get().add(sa), ea - sa) };
-        let cb = unsafe { std::slice::from_raw_parts_mut(pb.get().add(sb), eb - sb) };
-        f(i, ca, cb);
-    });
 }
 
 /// Parallel map over a slice with results collected in input (index) order,
@@ -257,7 +219,9 @@ where
     let base = SendPtr(out.as_mut_ptr());
     run(items.len(), &|i| {
         let v = f(&items[i]);
-        // Each task writes exactly one slot: its own index.
+        // SAFETY: `i < items.len() == out.len()`, `run` hands each index to
+        // exactly one task, and `out` is neither moved nor read until `run`
+        // returns, so this is the only access to slot `i`.
         unsafe { *base.get().add(i) = Some(v) };
     });
     out.into_iter()
@@ -277,23 +241,6 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn par_chunks_mut_matches_serial() {
-        let mut a: Vec<f32> = (0..10_000).map(|i| i as f32).collect();
-        let mut b = a.clone();
-        par_chunks_mut(&mut a, 37, |ci, chunk| {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = *v * 2.0 + (ci * 37 + j) as f32;
-            }
-        });
-        b.chunks_mut(37).enumerate().for_each(|(ci, chunk)| {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = *v * 2.0 + (ci * 37 + j) as f32;
-            }
-        });
-        assert_eq!(a, b);
     }
 
     #[test]
